@@ -70,12 +70,7 @@ def canonicalize(raw_weights: Iterable[int], trivial_dim: int = 0) -> ActionSpec
     """
     raw = [int(w) for w in raw_weights]
     folded = trivial_dim + 2 * sum(1 for w in raw if w == 0)
-    weights = tuple(sorted(abs(w) for w in raw if w != 0))
-    if weights and math.gcd(*weights) != 1:
-        raise NotEffective(
-            f"weights {list(weights)} have gcd {math.gcd(*weights)} > 1"
-        )
-    return ActionSpec(folded, weights)
+    return ActionSpec(folded, tuple(sorted(abs(w) for w in raw if w != 0)))
 
 
 def _checked_indices(spec: ActionSpec, indices: Iterable[int]) -> frozenset[int]:
@@ -105,6 +100,4 @@ def isotropy_order(spec: ActionSpec, support: Iterable[int]) -> int | float:
     :data:`INFINITE`.  Otherwise the gcd of the supported weights.
     """
     idx = _checked_indices(spec, support)
-    if not idx:
-        return INFINITE
-    return math.gcd(*(spec.weights[i - 1] for i in idx))
+    return gcd_label(spec, idx) if idx else INFINITE

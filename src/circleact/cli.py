@@ -9,30 +9,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from random import Random
 
 from .action import ActionSpec, canonicalize
-from .errors import CircleActionError
+from .errors import CircleActionError, TooManyFaces
 from .invariants import PART_ABS2, PART_RE, InvariantGenerator, hilbert_basis, realize_generators
 from .numeric import run_property_suite
 from .recovery import infer_dimensions, recover_weights, roundtrip
 from .stratification import StratificationDiagram, face_table, hasse_edges, orbit_strata
-
-
-@dataclass
-class CommandConfig:
-    command: str
-    weights: tuple[int, ...] | None = None
-    trivial_dim: int = 0
-    diagram_path: str | None = None
-    format: str = "text"
-    dot_path: str | None = None
-    seed: int = 0
-    trials: int = 1000
-    tol: float = 1e-9
-    max_weight: int | None = None
-    max_m: int | None = None
 
 
 def generator_text(g: InvariantGenerator) -> str:
@@ -59,27 +43,18 @@ def _face_text(indices: frozenset[int]) -> str:
     return sep.join(str(i) for i in sorted(indices))
 
 
-def _require_weights(config: CommandConfig) -> ActionSpec:
-    if config.weights is None:
-        raise ValueError(f"command {config.command!r} requires --weights")
-    return canonicalize(config.weights, config.trivial_dim)
-
-
-def _read_diagram(config: CommandConfig) -> StratificationDiagram:
-    if config.diagram_path is None:
-        raise ValueError(f"command {config.command!r} requires --diagram")
-    if config.diagram_path == "-":
+def _read_diagram(args: argparse.Namespace) -> StratificationDiagram:
+    if args.diagram_path == "-":
         data = json.load(sys.stdin)
     else:
-        with open(config.diagram_path, "r", encoding="utf-8") as fh:
+        with open(args.diagram_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     return StratificationDiagram.from_json(data)
 
 
-def _cmd_invariants(config: CommandConfig) -> int:
-    spec = _require_weights(config)
-    generators = realize_generators(hilbert_basis(spec))
-    if config.format == "json":
+def _cmd_invariants(args: argparse.Namespace) -> int:
+    generators = realize_generators(hilbert_basis(canonicalize(args.weights)))
+    if args.format == "json":
         print(json.dumps([g.to_json() for g in generators]))
     else:
         for g in generators:
@@ -87,18 +62,22 @@ def _cmd_invariants(config: CommandConfig) -> int:
     return 0
 
 
-def _cmd_stratify(config: CommandConfig) -> int:
-    spec = _require_weights(config)
+def _cmd_stratify(args: argparse.Namespace) -> int:
+    spec = canonicalize(args.weights, args.trivial_dim)
     diagram = orbit_strata(spec)
-    if config.dot_path:
-        with open(config.dot_path, "w", encoding="utf-8") as fh:
+    try:
+        faces = face_table(spec) if args.format == "text" else []
+    except TooManyFaces as exc:
+        raise TooManyFaces(f"{exc}; use --format json for the diagram without faces") from None
+    if args.dot_path:
+        with open(args.dot_path, "w", encoding="utf-8") as fh:
             fh.write(diagram.to_dot())
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(diagram.to_json()))
     else:
         print(f"ambient dimension: {diagram.ambient_dim}")
         print("faces:")
-        for row in face_table(spec):
+        for row in faces:
             print(
                 f"  S_{_face_text(row.indices)}  order {row.stabilizer_order}"
                 f"  codim {row.codim}"
@@ -113,12 +92,12 @@ def _cmd_stratify(config: CommandConfig) -> int:
     return 0
 
 
-def _cmd_recover(config: CommandConfig) -> int:
-    diagram = _read_diagram(config)
+def _cmd_recover(args: argparse.Namespace) -> int:
+    diagram = _read_diagram(args)
     weights = recover_weights(diagram)
     n, trivial_dim, m = infer_dimensions(diagram)
     report = {"weights": list(weights), "trivial_dim": trivial_dim, "m": m, "n": n}
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(report))
     else:
         print(f"weights: {list(weights)}")
@@ -135,28 +114,28 @@ def _random_spec(rng: Random, max_m: int, max_weight: int) -> ActionSpec:
     return ActionSpec(rng.randint(0, 4), tuple(w // shared for w in weights))
 
 
-def _cmd_roundtrip(config: CommandConfig) -> int:
-    if config.weights is not None:
-        spec = canonicalize(config.weights, config.trivial_dim)
+def _cmd_roundtrip(args: argparse.Namespace) -> int:
+    if args.weights is not None:
+        spec = canonicalize(args.weights, args.trivial_dim)
         ok = roundtrip(spec)
-        if config.format == "json":
+        if args.format == "json":
             print(json.dumps({"check": "roundtrip", "spec": spec.to_json(), "pass": ok}))
         else:
             print(f"roundtrip weights={list(spec.weights)}: {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
 
-    rng = Random(config.seed)
-    max_m = config.max_m or 6
-    max_weight = config.max_weight or 30
+    rng = Random(args.seed)
+    max_m = args.max_m or 6
+    max_weight = args.max_weight or 30
     failures = []
-    for _ in range(config.trials):
+    for _ in range(args.trials):
         spec = _random_spec(rng, max_m, max_weight)
         if not roundtrip(spec):
             failures.append(spec.to_json())
     report = {
         "check": "roundtrip",
-        "seed": config.seed,
-        "trials": config.trials,
+        "seed": args.seed,
+        "trials": args.trials,
         "failures": len(failures),
     }
     print(json.dumps(report))
@@ -165,30 +144,16 @@ def _cmd_roundtrip(config: CommandConfig) -> int:
     return 0 if not failures else 1
 
 
-def _cmd_verify(config: CommandConfig) -> int:
-    spec = _require_weights(config)
-    reports = run_property_suite(spec, config.trials, config.seed, config.tol)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    spec = canonicalize(args.weights, args.trivial_dim)
+    reports = run_property_suite(spec, args.trials, args.seed, args.tol)
     failed = False
     for report in reports:
         print(json.dumps(report))
         failed = failed or report["failures"] > 0
-    if config.format == "text":
+    if args.format == "text":
         print("FAIL" if failed else "ok")
     return 1 if failed else 0
-
-
-_COMMANDS = {
-    "invariants": _cmd_invariants,
-    "stratify": _cmd_stratify,
-    "recover": _cmd_recover,
-    "roundtrip": _cmd_roundtrip,
-    "verify": _cmd_verify,
-}
-
-
-def run(config: CommandConfig) -> int:
-    """Execute one command; library errors surface as exceptions."""
-    return _COMMANDS[config.command](config)
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -196,6 +161,13 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--weights expects comma-separated integers, got {text!r}")
+
+
+def _trials(text: str) -> int:
+    trials = int(text)
+    if trials < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {trials}")
+    return trials
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,57 +180,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    p = add("invariants", "list the invariant polynomial generators")
+    p = add("invariants", _cmd_invariants, "list the invariant polynomial generators")
     p.add_argument("--weights", required=True, type=_parse_weights)
 
-    p = add("stratify", "print the stratification diagram")
+    p = add("stratify", _cmd_stratify, "print the stratification diagram")
     p.add_argument("--weights", required=True, type=_parse_weights)
     p.add_argument("--trivial-dim", type=int, default=0)
     p.add_argument("--dot", dest="dot_path", metavar="PATH", help="write DOT here")
 
-    p = add("recover", "recover weights from a diagram JSON file ('-' for stdin)")
+    p = add("recover", _cmd_recover, "recover weights from a diagram JSON file ('-' for stdin)")
     p.add_argument("--diagram", dest="diagram_path", required=True, metavar="PATH")
 
-    p = add("roundtrip", "stratify then recover; random campaign without --weights")
+    p = add(
+        "roundtrip", _cmd_roundtrip, "stratify then recover; random campaign without --weights"
+    )
     p.add_argument("--weights", type=_parse_weights)
     p.add_argument("--trivial-dim", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_trials, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-weight", type=int, help="campaign weight bound (default 30)")
     p.add_argument("--max-m", type=int, help="campaign coordinate bound (default 6)")
 
-    p = add("verify", "run the sampled numeric property suite")
+    p = add("verify", _cmd_verify, "run the sampled numeric property suite")
     p.add_argument("--weights", required=True, type=_parse_weights)
     p.add_argument("--trivial-dim", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_trials, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> CommandConfig:
-    config = CommandConfig(command=args.command)
-    for name in (
-        "weights",
-        "trivial_dim",
-        "diagram_path",
-        "format",
-        "dot_path",
-        "seed",
-        "trials",
-        "tol",
-        "max_weight",
-        "max_m",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -267,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return run(_config_from_args(args))
+        return args.handler(args)
     except (CircleActionError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

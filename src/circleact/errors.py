@@ -25,6 +25,10 @@ class EmptyAction(CircleActionError):
     """The action has no weighted coordinates (m = 0)."""
 
 
+class TooManyFaces(CircleActionError):
+    """An explicit face listing would exceed its fixed size bound."""
+
+
 class NotInvariant(CircleActionError):
     """An exponent vector with nonzero rotation weight where an invariant one
     is required."""

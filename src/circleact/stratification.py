@@ -3,13 +3,14 @@
 The coordinate subsets of C^m partition it into invariant pieces; each
 non-empty subset carries the gcd of its weights as stabilizer order.  Pieces
 sharing one stabilizer order fuse into a single stratum of the orbit space,
-and closure induces a partial order on strata that turns out to be plain
-divisibility of the orders.  The fixed-point image is kept as a
+so the strata are the gcd-closure of the weights, and closure of strata is
+plain divisibility of the orders.  The fixed-point image is kept as a
 distinguished stratum of infinite order below everything else.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -18,10 +19,12 @@ from .errors import (
     DistinguishedStratum,
     EmptyAction,
     MalformedDiagram,
+    TooManyFaces,
     UnknownStratum,
 )
 
 DISTINGUISHED_ID = "distinguished"
+MAX_FACE_TABLE_M = 16  # 65,535 rows; each further coordinate doubles the table
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,16 @@ class Stratum:
     id: str
     order: int | float  # INFINITE marks the distinguished stratum
     dim: int
-    faces: tuple[frozenset[int], ...] = ()
 
     @property
     def is_distinguished(self) -> bool:
         return self.order == INFINITE
+
+
+def _wire_int(value, name: str) -> int:
+    if type(value) is not int:  # bools and floats are not wire integers
+        raise MalformedDiagram(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -117,19 +125,27 @@ class StratificationDiagram:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "StratificationDiagram":
-        strata = []
-        for entry in data["strata"]:
-            order = entry["order"]
-            strata.append(
-                Stratum(
-                    id=str(entry["id"]),
-                    order=INFINITE if order == "inf" else int(order),
-                    dim=int(entry["dim"]),
-                )
+    def from_json(cls, data) -> "StratificationDiagram":
+        """Parse the wire format; anything off it raises MalformedDiagram."""
+        entries = data.get("strata") if isinstance(data, dict) else None
+        closure = data.get("closure", []) if isinstance(data, dict) else None
+        if not (
+            isinstance(entries, list)
+            and isinstance(closure, list)
+            and all(isinstance(e, dict) and "id" in e for e in entries)
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in closure)
+        ):
+            raise MalformedDiagram("expected strata [{id, order, dim}], closure [[below, above]]")
+        strata = tuple(
+            Stratum(
+                str(e["id"]),
+                INFINITE if e.get("order") == "inf" else _wire_int(e.get("order"), "order"),
+                _wire_int(e.get("dim"), "dim"),
             )
-        closure = frozenset((str(a), str(b)) for a, b in data.get("closure", []))
-        return cls(int(data["ambient_dim"]), tuple(strata), closure)
+            for e in entries
+        )
+        pairs = frozenset((str(a), str(b)) for a, b in closure)
+        return cls(_wire_int(data.get("ambient_dim"), "ambient_dim"), strata, pairs)
 
     def to_dot(self) -> str:
         lines = ["digraph stratification {"]
@@ -150,6 +166,8 @@ def face_table(spec: ActionSpec) -> list[FaceClass]:
     """
     if spec.m == 0:
         raise EmptyAction("no weighted coordinates to tabulate")
+    if spec.m > MAX_FACE_TABLE_M:
+        raise TooManyFaces(f"m = {spec.m} is over the face table's bound m = {MAX_FACE_TABLE_M}")
     rows = []
     for size in range(spec.m, 0, -1):
         for combo in combinations(range(1, spec.m + 1), size):
@@ -164,46 +182,27 @@ def face_table(spec: ActionSpec) -> list[FaceClass]:
 
 
 def orbit_strata(spec: ActionSpec) -> StratificationDiagram:
-    """Build the stratification diagram of the orbit space.
+    """Build the stratification diagram of the orbit space from the weights.
 
-    Faces sharing a stabilizer order d form one stratum; its unique maximal
-    face is {j : d divides weight_j}, which fixes the stratum dimension.
-    The closure order between finite strata is divisibility of orders
-    (stratum_d below stratum_e iff e divides d), and the distinguished
-    stratum sits below everything.
+    The stabilizer orders are the closure of the weights under pairwise gcd.
+    The faces of order d have the unique maximal face {j : d divides w_j},
+    so that stratum has dim t + 2 #{j : d divides w_j} - 1.  Between finite
+    strata, stratum_d lies below stratum_e iff e divides d; the distinguished
+    stratum lies below everything.
     """
-    faces = face_table(spec)
-    groups: dict[int, list[FaceClass]] = {}
-    for f in faces:
-        groups.setdefault(f.stabilizer_order, []).append(f)
-
-    strata = []
-    for d in sorted(groups):
-        member_sets = {f.indices for f in groups[d]}
-        top_face = frozenset(j for j in range(1, spec.m + 1) if spec.weights[j - 1] % d == 0)
-        # gcd arithmetic guarantees a unique maximal face; a violation would
-        # mean the grouping rule itself is wrong, so fail hard.
-        assert top_face in member_sets, f"maximal face missing for order {d}"
-        assert all(f <= top_face for f in member_sets), f"split stratum for order {d}"
-        strata.append(
-            Stratum(
-                id=f"order:{d}",
-                order=d,
-                dim=spec.trivial_dim + 2 * len(top_face) - 1,
-                faces=tuple(
-                    sorted(member_sets, key=lambda f: (-len(f), tuple(sorted(f))))
-                ),
-            )
-        )
-    strata.append(Stratum(DISTINGUISHED_ID, INFINITE, spec.trivial_dim, ()))
-
-    closure = set()
-    orders = sorted(groups)
-    for d in orders:
-        closure.add((DISTINGUISHED_ID, f"order:{d}"))
-        for e in orders:
-            if d != e and d % e == 0:
-                closure.add((f"order:{d}", f"order:{e}"))
+    if spec.m == 0:
+        raise EmptyAction("no weighted coordinates to tabulate")
+    orders: set[int] = set()
+    for w in spec.weights:
+        orders |= {math.gcd(w, d) for d in orders} | {w}
+    strata = [
+        Stratum(f"order:{d}", d, spec.trivial_dim - 1 + 2 * sum(w % d == 0 for w in spec.weights))
+        for d in sorted(orders)
+    ]
+    strata.append(Stratum(DISTINGUISHED_ID, INFINITE, spec.trivial_dim))
+    closure = {(DISTINGUISHED_ID, f"order:{d}") for d in orders} | {
+        (f"order:{d}", f"order:{e}") for d in orders for e in orders if d != e and d % e == 0
+    }
     return StratificationDiagram(spec.n, tuple(strata), frozenset(closure))
 
 

@@ -162,3 +162,104 @@ def test_malformed_diagram_json_exit_code(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "stratify")[0] == 2  # --weights is required
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roundtrip", "--trials", "-5"],
+        ["verify", "--weights", "1,2", "--trials", "-5"],
+    ],
+    ids=["roundtrip", "verify"],
+)
+def test_negative_trials_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "argument --trials: must be >= 0, got -5" in err
+
+
+WIRE_1_2 = {
+    "ambient_dim": 4,
+    "strata": [
+        {"id": "order:1", "order": 1, "dim": 3},
+        {"id": "order:2", "order": 2, "dim": 1},
+        {"id": "distinguished", "order": "inf", "dim": 0},
+    ],
+    "closure": [
+        ["distinguished", "order:1"],
+        ["distinguished", "order:2"],
+        ["order:2", "order:1"],
+    ],
+}
+
+
+def _wire_with(key, value, stratum=None):
+    data = json.loads(json.dumps(WIRE_1_2))
+    (data if stratum is None else data["strata"][stratum])[key] = value
+    return json.dumps(data)
+
+
+OFF_SCHEMA_DIAGRAMS = {
+    "top-level-list": "[]",
+    "top-level-string": '"diagram"',
+    "ambient-dim-null": _wire_with("ambient_dim", None),
+    "ambient-dim-float": _wire_with("ambient_dim", 4.0),
+    "ambient-dim-bool": _wire_with("ambient_dim", True),
+    "strata-string": '{"strata": "xx"}',
+    "stratum-not-object": '{"ambient_dim": 4, "strata": [3], "closure": []}',
+    "closure-string": _wire_with("closure", "xx"),
+    "closure-short-pair": _wire_with("closure", [["order:2"]]),
+    "closure-int-pair": _wire_with("closure", [7]),
+    "order-1.9": _wire_with("order", 1.9, stratum=1),
+    "order-2.5": _wire_with("order", 2.5, stratum=1),
+    "order-bool": _wire_with("order", True, stratum=0),
+    "order-string": _wire_with("order", "2", stratum=1),
+    "dim-float": _wire_with("dim", 1.0, stratum=1),
+    "dim-bool": _wire_with("dim", False, stratum=2),
+}
+
+
+@pytest.mark.parametrize("text", list(OFF_SCHEMA_DIAGRAMS.values()), ids=list(OFF_SCHEMA_DIAGRAMS))
+def test_recover_rejects_off_schema_diagram(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "recover", "--diagram", str(path))
+    assert code == 2
+    assert out == ""
+    assert "MalformedDiagram" in err
+    assert "Traceback" not in err
+
+
+def test_recover_accepts_the_unmodified_wire_fixture(capsys, tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(WIRE_1_2))
+    code, out, _ = run_cli(capsys, "recover", "--diagram", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["weights"] == [1, 2]
+
+
+def test_stratify_text_refuses_more_than_16_coordinates(capsys, tmp_path):
+    weights = ",".join(str(w) for w in range(1, 18))
+    dot_path = tmp_path / "wide.dot"
+    code, out, err = run_cli(capsys, "stratify", "--weights", weights, "--dot", str(dot_path))
+    assert code == 2
+    assert out == ""
+    assert "TooManyFaces" in err
+    assert "--format json" in err
+    assert not dot_path.exists()
+    code, out, _ = run_cli(capsys, "stratify", "--weights", weights, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["strata"]) == 18
+
+
+def test_wide_stratify_json_pipes_into_recover(capsys, monkeypatch):
+    weights = list(range(1, 65))
+    code, out, _ = run_cli(
+        capsys, "stratify", "--weights", ",".join(map(str, weights)), "--format", "json"
+    )
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, _ = run_cli(capsys, "recover", "--diagram", "-", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["weights"] == weights

@@ -3,6 +3,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleact import (
     ActionSpec,
@@ -12,11 +14,14 @@ from circleact import (
     FaceClass,
     INFINITE,
     StratificationDiagram,
+    Stratum,
+    TooManyFaces,
     UnknownStratum,
     depth,
     face_table,
     hasse_edges,
     orbit_strata,
+    recover_weights,
 )
 
 BRUTE_FORCE_WEIGHTS = [
@@ -41,6 +46,27 @@ def subset_gcd_groups(weights):
             order = math.gcd(*(weights[i - 1] for i in combo))
             groups.setdefault(order, set()).add(frozenset(combo))
     return groups
+
+
+def faces_by_order(spec):
+    """Stabilizer order -> faces of that order, in face_table's listing order."""
+    groups = {}
+    for row in face_table(spec):
+        groups.setdefault(row.stabilizer_order, []).append(row.indices)
+    return groups
+
+
+def diagram_from_faces(spec):
+    """The diagram by definition: the face table grouped by order, each
+    stratum sized by its largest face, ordered by inclusion of those faces."""
+    tops = {d: max(faces, key=len) for d, faces in faces_by_order(spec).items()}
+    strata = [
+        Stratum(f"order:{d}", d, spec.trivial_dim + 2 * len(tops[d]) - 1) for d in sorted(tops)
+    ]
+    strata.append(Stratum(DISTINGUISHED_ID, INFINITE, spec.trivial_dim))
+    closure = {(DISTINGUISHED_ID, f"order:{d}") for d in tops}
+    closure |= {(f"order:{d}", f"order:{e}") for d in tops for e in tops if tops[d] < tops[e]}
+    return StratificationDiagram(spec.n, tuple(strata), frozenset(closure))
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +103,11 @@ def test_face_table_codim_6_entry():
 def test_face_table_rejects_empty_action():
     with pytest.raises(EmptyAction):
         face_table(ActionSpec(3, ()))
+
+
+def test_face_table_refuses_more_than_16_coordinates():
+    with pytest.raises(TooManyFaces, match="m = 17 is over the face table's bound m = 16"):
+        face_table(ActionSpec(0, (1,) * 17))
 
 
 @pytest.mark.parametrize("weights", BRUTE_FORCE_WEIGHTS)
@@ -145,12 +176,30 @@ def test_divisibility_order_equals_face_inclusion_order(weights):
 def test_strata_faces_partition_the_face_table(weights):
     spec = ActionSpec(0, weights)
     diagram = orbit_strata(spec)
-    seen = [f for s in diagram.finite_strata for f in s.faces]
-    assert len(seen) == 2**spec.m - 1
-    assert set(seen) == {r.indices for r in face_table(spec)}
+    groups = faces_by_order(spec)
+    # every face's gcd is a stratum order, and every stratum order is some face's gcd
+    assert sorted(groups) == [s.order for s in diagram.finite_strata]
     for s in diagram.finite_strata:
-        for f in s.faces:
-            assert math.gcd(*(weights[i - 1] for i in f)) == s.order
+        largest = max(groups[s.order], key=len)
+        assert s.dim == spec.trivial_dim + 2 * len(largest) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=10),
+    st.integers(0, 4),
+)
+def test_orbit_strata_equals_the_face_table_grouping(raw_weights, trivial):
+    shared = math.gcd(*raw_weights)
+    spec = ActionSpec(trivial, tuple(w // shared for w in raw_weights))
+    assert orbit_strata(spec) == diagram_from_faces(spec)
+
+
+def test_wide_action_stratifies_and_recovers():
+    spec = ActionSpec(0, tuple(range(1, 65)))
+    diagram = orbit_strata(spec)
+    assert len(diagram.strata) == 65
+    assert recover_weights(StratificationDiagram.from_json(diagram.to_json())) == spec.weights
 
 
 @pytest.mark.parametrize(
@@ -217,15 +266,14 @@ def test_strata_weights_2_2_3_4_6():
 
 
 def test_strata_group_memberships_match_worked_example():
-    diagram = orbit_strata(ActionSpec(0, (2, 2, 3, 4, 6)))
-    assert diagram.stratum("order:3").faces == (
-        frozenset({3, 5}),
-        frozenset({3}),
-    )
-    assert diagram.stratum("order:4").faces == (frozenset({4}),)
-    assert diagram.stratum("order:6").faces == (frozenset({5}),)
-    assert len(diagram.stratum("order:1").faces) == 14
-    assert len(diagram.stratum("order:2").faces) == 13
+    spec = ActionSpec(0, (2, 2, 3, 4, 6))
+    groups = faces_by_order(spec)
+    assert groups[3] == [frozenset({3, 5}), frozenset({3})]
+    assert groups[4] == [frozenset({4})]
+    assert groups[6] == [frozenset({5})]
+    assert len(groups[1]) == 14
+    assert len(groups[2]) == 13
+    assert sorted(groups) == [s.order for s in orbit_strata(spec).finite_strata]
 
 
 def test_trivial_factor_only_shifts_dimensions():
@@ -304,7 +352,6 @@ def test_json_roundtrip_drops_faces_only():
     assert [(s.id, s.order, s.dim) for s in back.strata] == [
         (s.id, s.order, s.dim) for s in diagram.strata
     ]
-    assert all(s.faces == () for s in back.strata)
 
 
 def test_dot_export_lists_all_nodes_and_cover_edges():
