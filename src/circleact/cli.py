@@ -125,11 +125,9 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     rng = Random(args.seed)
-    max_m = args.max_m or 6
-    max_weight = args.max_weight or 30
     failures = []
     for _ in range(args.trials):
-        spec = _random_spec(rng, max_m, max_weight)
+        spec = _random_spec(rng, args.max_m, args.max_weight)
         if not roundtrip(spec):
             failures.append(spec.to_json())
     report = {
@@ -163,11 +161,25 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise ValueError(f"--weights expects comma-separated integers, got {text!r}")
 
 
-def _trials(text: str) -> int:
-    trials = int(text)
-    if trials < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {trials}")
-    return trials
+def _checked(parse, accept, requirement: str):
+    """An argparse type: parse the text, then refuse values accept() rejects.
+
+    It carries parse's name, so unparsable text reads "invalid int value".
+    """
+
+    def convert(text: str):
+        value = parse(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
+_trials = _checked(int, lambda v: v >= 0, ">= 0")
+_positive_int = _checked(int, lambda v: v > 0, "> 0")
+_tolerance = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,15 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trivial-dim", type=int, default=0)
     p.add_argument("--trials", type=_trials, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-weight", type=int, help="campaign weight bound (default 30)")
-    p.add_argument("--max-m", type=int, help="campaign coordinate bound (default 6)")
+    p.add_argument(
+        "--max-weight", type=_positive_int, default=30, help="campaign weight bound (default 30)"
+    )
+    p.add_argument(
+        "--max-m", type=_positive_int, default=6, help="campaign coordinate bound (default 6)"
+    )
 
     p = add("verify", _cmd_verify, "run the sampled numeric property suite")
     p.add_argument("--weights", required=True, type=_parse_weights)
     p.add_argument("--trivial-dim", type=int, default=0)
     p.add_argument("--trials", type=_trials, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     return parser
 

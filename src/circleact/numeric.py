@@ -4,7 +4,8 @@ Nothing here defines truth: the generators and stratification are exact
 integer data.  These routines corroborate them numerically -- rotation
 invariance, homogeneity, orbit separation, and the closed-form image
 relation for two weighted coordinates -- with explicit seeds so every run
-reproduces.
+reproduces.  The orbit test they rely on, `same_orbit`, is a finite exact
+test over candidate angles, not a search.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .action import ActionSpec
 from .errors import IndexOutOfRange, LengthMismatch, NotCoprime
@@ -53,25 +54,20 @@ def evaluate_hilbert_map(
     if not generators:
         return ()
 
-    max_holo = [0] * m
-    max_anti = [0] * m
-    for g in generators:
-        for j in range(m):
-            max_holo[j] = max(max_holo[j], g.exponents.holomorphic[j])
-            max_anti[j] = max(max_anti[j], g.exponents.antiholomorphic[j])
+    max_holo = [max(col) for col in zip(*(g.exponents.holomorphic for g in generators))]
+    max_anti = [max(col) for col in zip(*(g.exponents.antiholomorphic for g in generators))]
     holo_pow = [_powers(z, top) for z, top in zip(point, max_holo)]
     anti_pow = [_powers(z.conjugate(), top) for z, top in zip(point, max_anti)]
 
     values = []
     for g in generators:
         w = 1 + 0j
-        for j in range(m):
-            k = g.exponents.holomorphic[j]
+        e = g.exponents
+        for k, kbar, hp, ap in zip(e.holomorphic, e.antiholomorphic, holo_pow, anti_pow):
             if k:
-                w *= holo_pow[j][k]
-            kbar = g.exponents.antiholomorphic[j]
+                w *= hp[k]
             if kbar:
-                w *= anti_pow[j][kbar]
+                w *= ap[kbar]
         values.append(w.imag if g.part == PART_IM else w.real)
     return tuple(values)
 
@@ -84,19 +80,18 @@ def _powers(z: complex, top: int) -> list[complex]:
 
 
 def same_orbit(
-    spec: ActionSpec,
-    z: Sequence[complex],
-    w: Sequence[complex],
-    tol: float,
-    samples: int = 4096,
-    refinements: int = 40,
+    spec: ActionSpec, z: Sequence[complex], w: Sequence[complex], tol: float
 ) -> bool:
     """Whether some rotation carries z onto w, within max-norm tol.
 
-    Minimizes the distance over a uniform angle grid, then halves a bracket
-    around the best sample `refinements` times.  A verification aid, not a
-    proof: the grid resolves orbit curves of angular frequency up to the
-    largest weight comfortably for weights <= 64.
+    A rotation that does must turn z's largest-modulus coordinate z_j, of
+    weight a, onto w_j, so up to a small phase error its angle is one of
+    the a candidates (arg w_j - arg z_j + 2 pi k) / a, k < a.  The test
+    tries each: O(a * m) work and no ceiling on the weights.  It never
+    accepts a pair that every rotation leaves farther apart than tol, and
+    it accepts every pair that some rotation brings within
+    tol / (1 + pi * max(weights) / a); anchoring on the largest modulus is
+    what bounds that factor.
     """
     if len(z) != len(w):
         raise LengthMismatch(f"points have {len(z)} and {len(w)} coordinates")
@@ -106,29 +101,17 @@ def same_orbit(
         raise LengthMismatch(f"point has {len(zs)} coordinates, action has {spec.m}")
     if spec.m == 0:
         return True
-
-    def dist(theta: float) -> float:
-        return max(
-            abs(cmath.exp(1j * a * theta) * zc - wc)
-            for a, zc, wc in zip(spec.weights, zs, ws)
+    j = max(range(spec.m), key=lambda i: abs(zs[i]))
+    a = spec.weights[j]
+    turn = cmath.phase(ws[j]) - cmath.phase(zs[j])
+    return any(
+        max(
+            abs(cmath.exp(1j * b * theta) * zc - wc)
+            for b, zc, wc in zip(spec.weights, zs, ws)
         )
-
-    step = 2 * math.pi / samples
-    best_i = min(range(samples), key=lambda i: dist(i * step))
-    lo, mid, hi = (best_i - 1) * step, best_i * step, (best_i + 1) * step
-    f_mid = dist(mid)
-    for _ in range(refinements):
-        left, right = (lo + mid) / 2, (mid + hi) / 2
-        f_left, f_right = dist(left), dist(right)
-        if f_left <= f_mid and f_left <= f_right:
-            hi, f_mid = mid, f_left
-            mid = left
-        elif f_right <= f_mid:
-            lo, f_mid = mid, f_right
-            mid = right
-        else:
-            lo, hi = left, right
-    return f_mid <= tol
+        <= tol
+        for theta in ((turn + 2 * math.pi * k) / a for k in range(a))
+    )
 
 
 def check_m2_membership(
@@ -189,10 +172,38 @@ def check_axes_image(
 # ---------------------------------------------------------------------------
 
 
-def _random_point(rng: Random, m: int) -> OrbitPoint:
+def _random_point(rng: Random, m: int, low: float = 0.0) -> OrbitPoint:
+    """Moduli uniform in [low, 1), phases uniform in [0, 2 pi)."""
     return tuple(
-        rng.random() * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(m)
+        rng.uniform(low, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        for _ in range(m)
     )
+
+
+def _gap(a: Sequence[float], b: Sequence[float]) -> float:
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+
+
+def _sampled(
+    name: str, trials: int, seed: int, trial_fn: Callable[[Random, int], tuple[float, bool]]
+) -> dict:
+    """Run trial_fn(rng, i) for i < trials on one seeded stream; each trial
+    returns (err, ok), and the report keeps the largest err and counts the
+    trials that were not ok."""
+    rng = Random(seed)
+    failures = 0
+    max_err = 0.0
+    for i in range(trials):
+        err, ok = trial_fn(rng, i)
+        max_err = max(max_err, err)
+        failures += not ok
+    return {
+        "check": name,
+        "seed": seed,
+        "trials": trials,
+        "failures": failures,
+        "max_err": max_err,
+    }
 
 
 def check_invariance(
@@ -203,28 +214,17 @@ def check_invariance(
     tol: float = 1e-9,
 ) -> dict:
     """Image values must not move along orbits."""
-    rng = Random(seed)
-    failures = 0
-    max_err = 0.0
-    for _ in range(trials):
+
+    def trial(rng: Random, _: int) -> tuple[float, bool]:
         p = _random_point(rng, spec.m)
         theta = rng.uniform(0, 2 * math.pi)
         base = evaluate_hilbert_map(generators, p)
         moved = evaluate_hilbert_map(generators, rotate(spec, theta, p))
         scale = 1.0 + max((abs(v) for v in base), default=0.0)
-        err = max(
-            (abs(a - b) for a, b in zip(base, moved)), default=0.0
-        ) / scale
-        max_err = max(max_err, err)
-        if err > tol:
-            failures += 1
-    return {
-        "check": "invariance",
-        "seed": seed,
-        "trials": trials,
-        "failures": failures,
-        "max_err": max_err,
-    }
+        err = _gap(base, moved) / scale
+        return err, err <= tol
+
+    return _sampled("invariance", trials, seed, trial)
 
 
 def check_homogeneity(
@@ -235,10 +235,8 @@ def check_homogeneity(
     tol: float = 1e-9,
 ) -> dict:
     """Each generator scales as t^degree under p -> t*p."""
-    rng = Random(seed)
-    failures = 0
-    max_err = 0.0
-    for _ in range(trials):
+
+    def trial(rng: Random, _: int) -> tuple[float, bool]:
         p = _random_point(rng, spec.m)
         t = rng.uniform(1e-3, 4.0)
         base = evaluate_hilbert_map(generators, p)
@@ -247,16 +245,9 @@ def check_homogeneity(
         for g, b, s in zip(generators, base, scaled):
             expect = t**g.degree * b
             err = max(err, abs(s - expect) / (1.0 + abs(expect)))
-        max_err = max(max_err, err)
-        if err > tol:
-            failures += 1
-    return {
-        "check": "homogeneity",
-        "seed": seed,
-        "trials": trials,
-        "failures": failures,
-        "max_err": max_err,
-    }
+        return err, err <= tol
+
+    return _sampled("homogeneity", trials, seed, trial)
 
 
 def check_separation(
@@ -269,39 +260,31 @@ def check_separation(
 ) -> dict:
     """Points with (numerically) equal images must lie on one orbit.
 
-    Alternates pairs constructed on a common orbit with independent pairs;
-    the implication is only exercised when the images actually coincide.
+    Even trials rotate a random point (the positive control: the images
+    agree and the points share an orbit).  Odd trials pair points of equal
+    moduli and independent phases, the pairs a map that misses some
+    invariant cannot tell apart.  Their moduli lie in [low, 1) with
+    low^D = sqrt(image_tol), D the top generator degree, so every generator
+    has magnitude at least sqrt(image_tol) and the images of distinct
+    orbits differ far above image_tol.  A trial fails when the images agree
+    within image_tol but `same_orbit` puts the points on different orbits;
+    max_err is the largest such image gap.
     """
-    rng = Random(seed)
-    failures = 0
-    max_err = 0.0
-    for trial in range(trials):
-        z = _random_point(rng, spec.m)
-        if trial % 2 == 0:
+    low = image_tol ** (0.5 / max((g.degree for g in generators), default=1))
+
+    def trial(rng: Random, i: int) -> tuple[float, bool]:
+        if i % 2 == 0:
+            z = _random_point(rng, spec.m)
             w = rotate(spec, rng.uniform(0, 2 * math.pi), z)
         else:
-            w = _random_point(rng, spec.m)
-        gap = max(
-            (
-                abs(a - b)
-                for a, b in zip(
-                    evaluate_hilbert_map(generators, z),
-                    evaluate_hilbert_map(generators, w),
-                )
-            ),
-            default=0.0,
-        )
-        if gap <= image_tol:
-            max_err = max(max_err, gap)
-            if not same_orbit(spec, z, w, orbit_tol):
-                failures += 1
-    return {
-        "check": "separation",
-        "seed": seed,
-        "trials": trials,
-        "failures": failures,
-        "max_err": max_err,
-    }
+            z = _random_point(rng, spec.m, low)
+            w = tuple(abs(c) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for c in z)
+        gap = _gap(evaluate_hilbert_map(generators, z), evaluate_hilbert_map(generators, w))
+        if gap > image_tol:
+            return 0.0, True
+        return gap, same_orbit(spec, z, w, orbit_tol)
+
+    return _sampled("separation", trials, seed, trial)
 
 
 def check_membership(
@@ -314,24 +297,15 @@ def check_membership(
     """Sampled images satisfy the two-coordinate semi-algebraic relation."""
     if spec.m != 2:
         raise ValueError("membership relation is implemented for m = 2 only")
-    rng = Random(seed)
-    failures = 0
-    max_err = 0.0
     a1, a2 = spec.weights
-    for _ in range(trials):
+
+    def trial(rng: Random, _: int) -> tuple[float, bool]:
         y = evaluate_hilbert_map(generators, _random_point(rng, 2))
         rhs = y[0] ** a2 * y[1] ** a1
         err = abs(y[2] * y[2] + y[3] * y[3] - rhs) / (1.0 + abs(rhs))
-        max_err = max(max_err, err)
-        if not check_m2_membership(a1, a2, y, tol):
-            failures += 1
-    return {
-        "check": "membership_m2",
-        "seed": seed,
-        "trials": trials,
-        "failures": failures,
-        "max_err": max_err,
-    }
+        return err, check_m2_membership(a1, a2, y, tol)
+
+    return _sampled("membership_m2", trials, seed, trial)
 
 
 def run_property_suite(

@@ -29,8 +29,9 @@ def infer_dimensions(diagram: StratificationDiagram) -> tuple[int, int, int]:
     """Read (n, trivial_dim, m) off the diagram.
 
     The ambient representation dimension n is one more than the top
-    stratum's dimension, the trivial factor is the dimension of the
-    infinite-order stratum, and m is half their difference.
+    stratum's dimension and must equal the diagram's ambient_dim, the
+    trivial factor is the dimension of the infinite-order stratum, and m
+    is half their difference.
     """
     infinite = [s for s in diagram.strata if s.is_distinguished]
     if len(infinite) != 1:
@@ -43,6 +44,10 @@ def infer_dimensions(diagram: StratificationDiagram) -> tuple[int, int, int]:
             f"expected exactly one top stratum, found {len(tops)}"
         )
     n = tops[0].dim + 1
+    if diagram.ambient_dim != n:
+        raise MalformedDiagram(
+            f"ambient_dim {diagram.ambient_dim} != top stratum dim + 1 = {n}"
+        )
     trivial_dim = infinite[0].dim
     if n - trivial_dim <= 0:
         raise NoDistinguishedStratum(

@@ -179,6 +179,23 @@ def test_negative_trials_exit_code(capsys, argv):
     assert "argument --trials: must be >= 0, got -5" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_verify_tol_must_be_positive_and_finite(capsys, tol):
+    code, out, err = run_cli(capsys, "verify", "--weights", "1,2", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "argument --tol: must be a positive finite number" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--max-m", "--max-weight"])
+def test_roundtrip_campaign_bounds_must_be_positive(capsys, flag, value):
+    code, out, err = run_cli(capsys, "roundtrip", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be > 0, got {value}" in err
+
+
 WIRE_1_2 = {
     "ambient_dim": 4,
     "strata": [
@@ -217,6 +234,7 @@ OFF_SCHEMA_DIAGRAMS = {
     "order-string": _wire_with("order", "2", stratum=1),
     "dim-float": _wire_with("dim", 1.0, stratum=1),
     "dim-bool": _wire_with("dim", False, stratum=2),
+    "ambient-dim-not-top-plus-one": _wire_with("ambient_dim", 99),
 }
 
 

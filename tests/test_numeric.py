@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleact import (
     ActionSpec,
@@ -93,6 +95,56 @@ def test_same_orbit_distinguishes_conjugate_points():
     assert not same_orbit(spec, (1 + 0j, 1j), (1 + 0j, -1j), 1e-6)
 
 
+def test_same_orbit_accepts_a_rotation_with_large_weights():
+    spec = ActionSpec(0, (64, 97))
+    z = (0.8 + 0.1j, 0.5j)
+    assert same_orbit(spec, z, rotate(spec, 0.123456, z), 1e-9)
+
+
+effective_weights = st.lists(st.integers(1, 8), min_size=1, max_size=4).map(
+    lambda ws: tuple(w // math.gcd(*ws) for w in ws)
+)
+moduli_and_phases = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
+    min_size=4,
+    max_size=4,
+)
+
+ORACLE_ANGLES = 4096
+
+
+def brute_force_distance(spec, z, w):
+    """The smallest max-norm distance from w to z rotated by one of
+    ORACLE_ANGLES evenly spaced angles.  The distance moves by at most
+    max(weights) * max|z_j| <= 8 per radian, so this exceeds the true
+    minimum over all angles by at most 8 * pi / ORACLE_ANGLES."""
+    return min(
+        max(abs(cmath.exp(1j * a * theta) * zc - wc) for a, zc, wc in zip(spec.weights, z, w))
+        for theta in (2 * math.pi * i / ORACLE_ANGLES for i in range(ORACLE_ANGLES))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(effective_weights, moduli_and_phases, st.floats(0.0, 2 * math.pi))
+def test_same_orbit_agrees_with_a_dense_angle_oracle(weights, coords, theta):
+    spec = ActionSpec(0, weights)
+    coords = coords[: spec.m]
+    z = tuple(r * cmath.exp(1j * phi) for r, phi, _ in coords)
+    assert same_orbit(spec, z, rotate(spec, theta, z), 1e-9)
+
+    # Equal moduli, independent phases: on one orbit or not, only the
+    # rotation decides.  tol is large enough that the oracle's grid error,
+    # 8 * pi / 4096 < 9 * tol, cannot hide a rotation within tol.
+    tol = 1e-3
+    w = tuple(r * cmath.exp(1j * psi) for r, _, psi in coords)
+    distance = brute_force_distance(spec, z, w)
+    accepted = same_orbit(spec, z, w, tol)
+    if distance > 10 * tol:
+        assert not accepted
+    if accepted:
+        assert distance <= tol + 8 * math.pi / ORACLE_ANGLES
+
+
 def test_m2_membership_golden_points():
     assert check_m2_membership(1, 2, (1.0, 1.0, 1.0, 0.0), 1e-9)
     assert check_m2_membership(1, 2, (0.0, 0.0, 0.0, 0.0), 1e-9)
@@ -160,6 +212,30 @@ def test_sampled_separation():
     gens = generators_for((1, 2))
     rep = check_separation(spec, gens, trials=40, seed=5)
     assert rep["failures"] == 0, rep
+
+
+def test_sampled_separation_fails_without_the_re_im_pair():
+    # |z1|^2 and |z2|^2 alone cannot tell (z1, z2) from (z1, -z2) apart, so
+    # every equal-moduli off-orbit trial (the odd half) is a failure.
+    spec = ActionSpec(0, (1, 2))
+    gens = generators_for((1, 2))[:2]
+    rep = check_separation(spec, gens, trials=200, seed=0)
+    assert rep["failures"] == 100, rep
+
+
+@pytest.mark.parametrize(
+    "weights, trials, seed",
+    [
+        # an angle search can settle in the wrong basin here
+        ((1, 4, 8), 40, 736660294),
+        # |z1|^200 underflows image_tol unless the moduli stay near 1
+        ((1, 200), 200, 0),
+    ],
+    ids=["1,4,8", "1,200"],
+)
+def test_property_suite_passes_on_a_correct_map(weights, trials, seed):
+    reports = run_property_suite(ActionSpec(0, weights), trials, seed)
+    assert all(r["failures"] == 0 for r in reports), reports
 
 
 def test_sampled_membership():
