@@ -16,6 +16,7 @@ from .errors import (
     NotEffective,
     NotInvariant,
     ParityError,
+    TooManyCandidates,
     TooManyFaces,
     UnknownStratum,
 )

@@ -29,6 +29,11 @@ class TooManyFaces(CircleActionError):
     """An explicit face listing would exceed its fixed size bound."""
 
 
+class TooManyCandidates(CircleActionError):
+    """A Hilbert basis completion would pass its fixed bound on grown
+    vectors or on domination comparisons."""
+
+
 class NotInvariant(CircleActionError):
     """An exponent vector with nonzero rotation weight where an invariant one
     is required."""

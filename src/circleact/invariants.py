@@ -12,13 +12,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import ge, mul
 
 from .action import ActionSpec
-from .errors import EmptyAction, LengthMismatch, NotInvariant
+from .errors import EmptyAction, LengthMismatch, NotInvariant, TooManyCandidates
 
 PART_ABS2 = "abs2"
 PART_RE = "re"
 PART_IM = "im"
+# Work bounds of hilbert_basis: vectors grown over all levels, and
+# comparisons of a grown vector with a recorded minimal element.
+MAX_BASIS_CANDIDATES = 100_000
+MAX_BASIS_COMPARISONS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -29,16 +34,14 @@ class ExponentVector:
     antiholomorphic: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "holomorphic", tuple(int(k) for k in self.holomorphic))
-        object.__setattr__(
-            self, "antiholomorphic", tuple(int(k) for k in self.antiholomorphic)
-        )
+        object.__setattr__(self, "holomorphic", tuple(map(int, self.holomorphic)))
+        object.__setattr__(self, "antiholomorphic", tuple(map(int, self.antiholomorphic)))
         if len(self.holomorphic) != len(self.antiholomorphic):
             raise LengthMismatch(
                 f"holomorphic has {len(self.holomorphic)} entries, "
                 f"antiholomorphic has {len(self.antiholomorphic)}"
             )
-        if any(k < 0 for k in self.holomorphic + self.antiholomorphic):
+        if min(self.holomorphic + self.antiholomorphic, default=0) < 0:
             raise ValueError("exponents must be non-negative")
 
     @property
@@ -139,56 +142,104 @@ def is_invariant_exponent(spec: ActionSpec, e: ExponentVector) -> bool:
 def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
     """Minimal additive generating set of the invariant exponent monoid.
 
-    Uses a Contejean-Devie style completion: grow vectors from the unit
-    exponents, stepping only in directions whose coefficient opposes the
-    current rotation weight, and prune anything that dominates an already
-    found minimal element.  Entries of minimal solutions of a single
-    homogeneous equation never exceed the largest coefficient on the other
-    side (Huet's bound), so growth is additionally capped at max(weights).
+    The m elements |z_j|^2 are minimal, and every other minimal element has
+    k_j * kbar_j = 0 for each j, or it would dominate |z_j|^2.  So the rest
+    of the basis is the set of nonzero signed vectors s = k - kbar with
+    sum_j alpha_j * s_j = 0 that are minimal under conformal order
+    (|s_j| <= |t_j| with equal signs), found by a completion over them:
+
+    - Half generation: only the member of each conjugate pair whose first
+      nonzero entry s_j is positive is grown, from +e_j, stepping at
+      coordinates i > j or at j upward; its conjugate is -s.  Each step
+      moves one entry away from zero, against the sign of the current
+      rotation weight, so the greedy path to any such minimal s stays
+      below s and is never pruned.
+    - Level order: level d holds the vectors of sum_j |s_j| = d, and a
+      level's solutions are recorded before the next level is checked.
+    - Domination index: a child grown at coordinate i to value v has a
+      parent that dominated nothing, so it can only dominate a recorded
+      minimal s (or its conjugate -s) whose entry at i is exactly v.
+      Minimals are indexed by (i, s_i) and (i, -s_i), and a child is
+      compared only with its (i, v) bucket.
+    - Per-side caps: the positive entries and the negative entries of a
+      minimal s each sum to at most max(weights) (Lambert 1987, a
+      sharpening of Huet's per-entry bound), so no vector grows past that.
+
+    The completion refuses with :class:`TooManyCandidates` when it would
+    grow more than MAX_BASIS_CANDIDATES vectors, or once it has made
+    MAX_BASIS_COMPARISONS domination comparisons.  The first bound stops
+    large weight ratios: weights (1, r) have a minimal element of degree
+    r + 1, so they take r levels.  The second stops many coordinates of
+    small weights, whose minimal elements crowd the (i, v) buckets.
     """
     if spec.m == 0:
         raise EmptyAction("no weighted coordinates: the invariant monoid is trivial")
     m = spec.m
-    cap = max(spec.weights)
-    # Flat layout: positions 0..m-1 hold k, positions m..2m-1 hold kbar.
-    coeff = spec.weights + tuple(-a for a in spec.weights)
-    dims = 2 * m
-
-    frontier: dict[tuple[int, ...], int] = {}
-    for i in range(dims):
-        unit = tuple(1 if p == i else 0 for p in range(dims))
-        frontier[unit] = coeff[i]
-
-    minimal: list[tuple[int, ...]] = []
+    weights = spec.weights
+    cap = max(weights)
+    # s -> (rotation weight, index j of the first nonzero entry, sum of the
+    # positive entries); the negative entries sum to level - that.
+    frontier = {
+        tuple(1 if i == j else 0 for i in range(m)): (w, j, 1) for j, w in enumerate(weights)
+    }
+    # (i, v) -> [(t, squares of t)] for each recorded minimal t = s or -s with t_i = v.
+    index: dict[tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    basis = {abs2_exponent(m, j) for j in range(1, m + 1)}
+    level = 1
+    grown = len(frontier)
+    compared = 0
     while frontier:
-        # Solutions first: equal-degree vectors cannot dominate one another,
-        # but next-level candidates must be pruned against all of them.
-        for vec, weight in frontier.items():
-            if weight == 0:
-                minimal.append(vec)
-        next_frontier: dict[tuple[int, ...], int] = {}
-        for vec, weight in frontier.items():
-            if weight == 0:
-                continue
-            for i in range(dims):
-                ci = coeff[i]
-                if (weight > 0) == (ci > 0):
+        next_frontier: dict[tuple[int, ...], tuple[int, int, int]] = {}
+        solved = []
+        for s, (r, j, pos) in frontier.items():
+            if r > 0:
+                if level - pos == cap:
                     continue
-                if vec[i] >= cap:
+                step, first, child_pos = -1, j + 1, pos
+            else:
+                if pos == cap:
                     continue
-                grown = vec[:i] + (vec[i] + 1,) + vec[i + 1 :]
-                if grown in next_frontier:
+                step, first, child_pos = 1, j, pos + 1
+            for i in range(first, m):
+                v = s[i] + step
+                if v * step <= 0:  # a step toward zero: k_i and kbar_i both > 0
                     continue
-                if any(
-                    all(g >= b for g, b in zip(grown, base)) for base in minimal
-                ):
+                child = s[:i] + (v,) + s[i + 1 :]
+                if child in next_frontier:
                     continue
-                next_frontier[grown] = weight + ci
+                if grown >= MAX_BASIS_CANDIDATES or compared >= MAX_BASIS_COMPARISONS:
+                    raise TooManyCandidates(
+                        f"weights {list(weights)}: by degree {level + 1} the Hilbert basis "
+                        f"completion grew {grown} vectors and made {compared} domination "
+                        f"comparisons, against bounds of {MAX_BASIS_CANDIDATES} and "
+                        f"{MAX_BASIS_COMPARISONS}"
+                    )
+                bucket = index.get((i, v))
+                if bucket:
+                    compared += len(bucket)
+                    # t <= child conformally iff child_k * t_k >= t_k^2 for every k.
+                    if any(all(map(ge, map(mul, child, t), sq)) for t, sq in bucket):
+                        continue
+                grown += 1
+                child_r = r + step * weights[i]
+                next_frontier[child] = (child_r, j, child_pos)
+                if not child_r:
+                    solved.append(child)
+        for s in solved:
+            del next_frontier[s]
+            k = tuple(x if x > 0 else 0 for x in s)
+            kbar = tuple(-x if x < 0 else 0 for x in s)
+            basis.add(ExponentVector(k, kbar))
+            basis.add(ExponentVector(kbar, k))
+            conj = tuple(-x for x in s)
+            sq = tuple(x * x for x in s)
+            for i, x in enumerate(s):
+                if x:
+                    index.setdefault((i, x), []).append((s, sq))
+                    index.setdefault((i, -x), []).append((conj, sq))
         frontier = next_frontier
-
-    return frozenset(
-        ExponentVector(vec[:m], vec[m:]) for vec in minimal
-    )
+        level += 1
+    return frozenset(basis)
 
 
 def realize_generators(basis: frozenset[ExponentVector]) -> list[InvariantGenerator]:

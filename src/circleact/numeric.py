@@ -234,11 +234,18 @@ def check_homogeneity(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> dict:
-    """Each generator scales as t^degree under p -> t*p."""
+    """Each generator scales as t^degree under p -> t*p.
+
+    t is uniform in [1e-3, 4) ** (16 / D) with D = max(16, top generator
+    degree), so t^degree stays within [1e-48, 4^16] and never overflows;
+    up to degree 16 that is [1e-3, 4).
+    """
+    span = 16 / max(16, max((g.degree for g in generators), default=1))
+    low, high = 1e-3**span, 4.0**span
 
     def trial(rng: Random, _: int) -> tuple[float, bool]:
         p = _random_point(rng, spec.m)
-        t = rng.uniform(1e-3, 4.0)
+        t = rng.uniform(low, high)
         base = evaluate_hilbert_map(generators, p)
         scaled = evaluate_hilbert_map(generators, tuple(t * z for z in p))
         err = 0.0

@@ -281,3 +281,21 @@ def test_wide_stratify_json_pipes_into_recover(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "recover", "--diagram", "-", "--format", "json")
     assert code == 0
     assert json.loads(out)["weights"] == weights
+
+
+def test_invariants_refuses_a_huge_weight_ratio(capsys):
+    code, out, err = run_cli(capsys, "invariants", "--weights", "1,10000000")
+    assert code == 2
+    assert out == ""
+    assert "TooManyCandidates" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("weights", ["1,1100", "1,10000"])
+def test_verify_high_degree_generators_pass(capsys, weights):
+    code, out, err = run_cli(capsys, "verify", "--weights", weights, "--trials", "4")
+    assert code == 0
+    assert err == ""
+    reports = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert [r["failures"] for r in reports] == [0, 0, 0, 0]
+    assert out.splitlines()[-1] == "ok"

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -14,11 +15,13 @@ from circleact import (
     PART_ABS2,
     PART_IM,
     PART_RE,
+    TooManyCandidates,
     abs2_exponent,
     circle_weight,
     decompose,
     hilbert_basis,
     is_invariant_exponent,
+    invariants,
     realize_generators,
 )
 
@@ -204,6 +207,43 @@ def test_basis_mixed_weights_has_cross_terms():
         ExponentVector((3, 0), (0, 2)),
         ExponentVector((0, 2), (3, 0)),
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_basis_equals_box_oracle_random(raw):
+    shared = math.gcd(*raw)
+    weights = tuple(w // shared for w in raw)
+    assert hilbert_basis(ActionSpec(0, weights)) == box_basis_oracle(weights)
+
+
+@pytest.mark.parametrize("top, size", [(6, 210), (7, 559)])
+def test_basis_size_of_consecutive_weights(top, size):
+    assert len(hilbert_basis(ActionSpec(0, tuple(range(1, top + 1))))) == size
+
+
+def test_basis_with_a_large_weight_ratio():
+    assert hilbert_basis(ActionSpec(0, (1, 1000))) == frozenset(
+        {
+            ExponentVector((1, 0), (1, 0)),
+            ExponentVector((0, 1), (0, 1)),
+            ExponentVector((1000, 0), (0, 1)),  # z1^1000 zbar2
+            ExponentVector((0, 1), (1000, 0)),
+        }
+    )
+
+
+def test_basis_refuses_past_its_work_bound_quickly():
+    start = time.perf_counter()
+    with pytest.raises(TooManyCandidates, match="weights \\[1, 10000000\\]"):
+        hilbert_basis(ActionSpec(0, (1, 10**7)))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_basis_refuses_past_its_comparison_bound(monkeypatch):
+    monkeypatch.setattr(invariants, "MAX_BASIS_COMPARISONS", 1000)
+    with pytest.raises(TooManyCandidates, match="domination comparisons"):
+        hilbert_basis(ActionSpec(0, tuple(range(1, 8))))
 
 
 # ---------------------------------------------------------------------------
