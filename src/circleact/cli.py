@@ -12,7 +12,7 @@ import sys
 from random import Random
 
 from .action import ActionSpec, canonicalize
-from .errors import CircleActionError, TooManyFaces
+from .errors import CircleActionError, MalformedDiagram, TooManyFaces
 from .invariants import PART_ABS2, PART_RE, InvariantGenerator, hilbert_basis, realize_generators
 from .numeric import run_property_suite
 from .recovery import infer_dimensions, recover_weights, roundtrip
@@ -44,11 +44,14 @@ def _face_text(indices: frozenset[int]) -> str:
 
 
 def _read_diagram(args: argparse.Namespace) -> StratificationDiagram:
-    if args.diagram_path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.diagram_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    try:
+        if args.diagram_path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.diagram_path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise MalformedDiagram("diagram JSON nests too deeply to parse") from None
     return StratificationDiagram.from_json(data)
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import ge, mul
+from functools import lru_cache
+from operator import ge, sub
 
 from .action import ActionSpec
 from .errors import EmptyAction, LengthMismatch, NotInvariant, TooManyCandidates
@@ -51,6 +52,15 @@ class ExponentVector:
     @property
     def degree(self) -> int:
         return sum(self.holomorphic) + sum(self.antiholomorphic)
+
+    @classmethod
+    def _trusted(cls, k: tuple[int, ...], kbar: tuple[int, ...]) -> "ExponentVector":
+        """Build from int tuples already known to be valid, skipping the checks."""
+        e = object.__new__(cls)
+        fields = e.__dict__  # written directly, as the class is frozen
+        fields["holomorphic"] = k
+        fields["antiholomorphic"] = kbar
+        return e
 
     def conjugate(self) -> "ExponentVector":
         """Swap holomorphic and antiholomorphic exponents."""
@@ -165,6 +175,21 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
       minimal s each sum to at most max(weights) (Lambert 1987, a
       sharpening of Huet's per-entry bound), so no vector grows past that.
 
+    Each signed vector is packed into one int of 2m fields of
+    b = max(weights).bit_length() + 1 bits: field i holds k_i and field
+    m + i holds kbar_i.  A step at coordinate i adds the unit of field i
+    (upward) or of field m + i (downward), and is allowed only while the
+    opposite field is zero, which keeps k_i * kbar_i = 0.  The per-side caps
+    keep every field at most max(weights) < 2^(b - 1), so the top bit of
+    each field is a guard that is never set.  With disjoint supports,
+    conformal order is fieldwise order of (k, kbar), and t <= c fieldwise
+    iff ((c | G) - t) & G == G, where G holds every guard bit: setting a
+    guard before subtracting a smaller field keeps it, a larger field
+    borrows it away, and no borrow crosses into the next field.  The
+    (i, v) bucket of a child is keyed by the child's grown field alone,
+    c & mask_f, which is v shifted into field f.  Only solved vectors are
+    unpacked into exponent tuples.
+
     The completion refuses with :class:`TooManyCandidates` when it would
     grow more than MAX_BASIS_CANDIDATES vectors, or once it has made
     MAX_BASIS_COMPARISONS domination comparisons.  The first bound stops
@@ -177,34 +202,42 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
     m = spec.m
     weights = spec.weights
     cap = max(weights)
+    b = cap.bit_length() + 1
+    half = b * m
+    shifts = range(0, 2 * half, b)
+    field = (1 << b) - 1
+    masks = [field << shift for shift in shifts]
+    guards = sum(1 << (shift + b - 1) for shift in shifts)
+    low_half = (1 << half) - 1
+    # Steps at coordinate i: (unit, mask of the grown field, mask of the
+    # opposite field, change of rotation weight); upward grows k_i, downward kbar_i.
+    up = [(1 << shifts[i], masks[i], masks[m + i], w) for i, w in enumerate(weights)]
+    down = [(1 << shifts[m + i], masks[m + i], masks[i], -w) for i, w in enumerate(weights)]
     # s -> (rotation weight, index j of the first nonzero entry, sum of the
     # positive entries); the negative entries sum to level - that.
-    frontier = {
-        tuple(1 if i == j else 0 for i in range(m)): (w, j, 1) for j, w in enumerate(weights)
-    }
-    # (i, v) -> [(t, squares of t)] for each recorded minimal t = s or -s with t_i = v.
-    index: dict[tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    frontier = {unit: (w, j, 1) for j, (unit, _, _, w) in enumerate(up)}
+    # (i, v) as v in its field -> each recorded minimal t = s or -s with t_i = v.
+    index: dict[int, list[int]] = {}
     basis = {abs2_exponent(m, j) for j in range(1, m + 1)}
     level = 1
     grown = len(frontier)
     compared = 0
     while frontier:
-        next_frontier: dict[tuple[int, ...], tuple[int, int, int]] = {}
+        next_frontier: dict[int, tuple[int, int, int]] = {}
         solved = []
         for s, (r, j, pos) in frontier.items():
             if r > 0:
                 if level - pos == cap:
                     continue
-                step, first, child_pos = -1, j + 1, pos
+                steps, child_pos = down[j + 1 :], pos
             else:
                 if pos == cap:
                     continue
-                step, first, child_pos = 1, j, pos + 1
-            for i in range(first, m):
-                v = s[i] + step
-                if v * step <= 0:  # a step toward zero: k_i and kbar_i both > 0
+                steps, child_pos = up[j:], pos + 1
+            for unit, grown_field, opposite, dr in steps:
+                if s & opposite:  # a step toward zero: k_i and kbar_i both > 0
                     continue
-                child = s[:i] + (v,) + s[i + 1 :]
+                child = s + unit
                 if child in next_frontier:
                     continue
                 if grown >= MAX_BASIS_CANDIDATES or compared >= MAX_BASIS_COMPARISONS:
@@ -214,29 +247,28 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
                         f"comparisons, against bounds of {MAX_BASIS_CANDIDATES} and "
                         f"{MAX_BASIS_COMPARISONS}"
                     )
-                bucket = index.get((i, v))
-                if bucket:
-                    compared += len(bucket)
-                    # t <= child conformally iff child_k * t_k >= t_k^2 for every k.
-                    if any(all(map(ge, map(mul, child, t), sq)) for t, sq in bucket):
-                        continue
-                grown += 1
-                child_r = r + step * weights[i]
-                next_frontier[child] = (child_r, j, child_pos)
-                if not child_r:
-                    solved.append(child)
+                bucket = index.get(child & grown_field, ())
+                compared += len(bucket)
+                guarded = child | guards
+                for t in bucket:
+                    if (guarded - t) & guards == guards:  # t <= child fieldwise
+                        break
+                else:
+                    grown += 1
+                    child_r = r + dr
+                    next_frontier[child] = (child_r, j, child_pos)
+                    if not child_r:
+                        solved.append(child)
         for s in solved:
             del next_frontier[s]
-            k = tuple(x if x > 0 else 0 for x in s)
-            kbar = tuple(-x if x < 0 else 0 for x in s)
-            basis.add(ExponentVector(k, kbar))
-            basis.add(ExponentVector(kbar, k))
-            conj = tuple(-x for x in s)
-            sq = tuple(x * x for x in s)
-            for i, x in enumerate(s):
-                if x:
-                    index.setdefault((i, x), []).append((s, sq))
-                    index.setdefault((i, -x), []).append((conj, sq))
+            entries = [(s >> shift) & field for shift in shifts]
+            k, kbar = tuple(entries[:m]), tuple(entries[m:])
+            basis.add(ExponentVector._trusted(k, kbar))
+            basis.add(ExponentVector._trusted(kbar, k))
+            for t in (s, (s >> half) | ((s & low_half) << half)):
+                for mask in masks:
+                    if t & mask:
+                        index.setdefault(t & mask, []).append(t)
         frontier = next_frontier
         level += 1
     return frozenset(basis)
@@ -245,6 +277,7 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
 def realize_generators(basis: frozenset[ExponentVector]) -> list[InvariantGenerator]:
     """Turn a Hilbert basis into an ordered list of real generators.
 
+    The basis must be closed under conjugation, as every Hilbert basis is.
     The |z_j|^2 generators come first, ordered by j.  Each conjugate pair
     contributes Re and Im of one canonical representative: the member whose
     concatenated exponent tuple is lexicographically larger, which is the
@@ -261,12 +294,25 @@ def realize_generators(basis: frozenset[ExponentVector]) -> list[InvariantGenera
     abs2.sort(key=lambda g: g.exponents.holomorphic.index(1))
     generators: list[InvariantGenerator] = list(abs2)
 
-    paired = {e for e in basis if e.holomorphic != e.antiholomorphic}
-    reps = {max(e, e.conjugate(), key=ExponentVector.key) for e in paired}
+    # The basis holds both members of each pair, so keep the larger one.
+    reps = [
+        e for e in basis if e.holomorphic + e.antiholomorphic > e.antiholomorphic + e.holomorphic
+    ]
     for e in sorted(reps, key=lambda e: (e.degree, e.key())):
         generators.append(InvariantGenerator(e, PART_RE))
         generators.append(InvariantGenerator(e, PART_IM))
     return generators
+
+
+@lru_cache(maxsize=8)
+def _search_order(basis: frozenset[ExponentVector]):
+    """What decompose needs of a basis, computed once per basis: the set of
+    coordinate counts of its elements, the elements by decreasing degree,
+    and their concatenated exponent tuples.
+    """
+    lengths = frozenset(b.m for b in basis)
+    elems = tuple(sorted(basis, key=lambda b: (-b.degree, b.key())))
+    return lengths, elems, tuple(b.key() for b in elems)
 
 
 def decompose(
@@ -284,11 +330,11 @@ def decompose(
     _check_length(spec, e)
     if circle_weight(spec, e) != 0:
         raise NotInvariant(f"rotation weight {circle_weight(spec, e)} != 0")
-    for b in basis:
-        _check_length(spec, b)
+    lengths, elems, flats = _search_order(frozenset(basis))
+    if lengths - {spec.m}:
+        for b in basis:
+            _check_length(spec, b)
 
-    elems = sorted(basis, key=lambda b: (-b.degree, b.key()))
-    flats = [b.key() for b in elems]
     target = e.key()
     dead: set[tuple[tuple[int, ...], int]] = set()
 
@@ -299,10 +345,8 @@ def decompose(
             return None
         for idx in range(start, len(flats)):
             b = flats[idx]
-            if all(r >= x for r, x in zip(remaining, b)):
-                rest = search(
-                    tuple(r - x for r, x in zip(remaining, b)), idx
-                )
+            if all(map(ge, remaining, b)):
+                rest = search(tuple(map(sub, remaining, b)), idx)
                 if rest is not None:
                     return [idx] + rest
         dead.add((remaining, start))

@@ -235,6 +235,7 @@ OFF_SCHEMA_DIAGRAMS = {
     "dim-float": _wire_with("dim", 1.0, stratum=1),
     "dim-bool": _wire_with("dim", False, stratum=2),
     "ambient-dim-not-top-plus-one": _wire_with("ambient_dim", 99),
+    "nested-100000-deep": "[" * 100_000 + "]" * 100_000,
 }
 
 

@@ -246,6 +246,40 @@ def test_basis_refuses_past_its_comparison_bound(monkeypatch):
         hilbert_basis(ActionSpec(0, tuple(range(1, 8))))
 
 
+# Each exponent sits in a field of max(weights).bit_length() + 1 bits, so a
+# largest weight of 2^k - 1 or 2^k lies on either side of a change of width.
+
+
+@pytest.mark.parametrize("weights", [(1, 7), (5, 7), (1, 8), (3, 8), (2, 3, 7)])
+def test_basis_at_field_width_edges_matches_box_oracle(weights):
+    assert hilbert_basis(ActionSpec(0, weights)) == box_basis_oracle(weights)
+
+
+@pytest.mark.parametrize(
+    "weights, size",
+    [
+        ((3, 4, 8), 13),
+        ((1, 2, 4, 8), 30),
+        ((1, 15, 16), 39),
+        ((7, 8, 15, 16), 172),
+        ((1, 255), 4),
+        ((1, 256), 4),
+    ],
+)
+def test_basis_size_at_field_width_edges(weights, size):
+    assert len(hilbert_basis(ActionSpec(0, weights))) == size
+
+
+def test_basis_refusal_reports_the_work_done(monkeypatch):
+    monkeypatch.setattr(invariants, "MAX_BASIS_COMPARISONS", 1000)
+    with pytest.raises(TooManyCandidates) as refused:
+        hilbert_basis(ActionSpec(0, tuple(range(1, 8))))
+    assert str(refused.value) == (
+        "weights [1, 2, 3, 4, 5, 6, 7]: by degree 5 the Hilbert basis completion grew "
+        "315 vectors and made 1013 domination comparisons, against bounds of 100000 and 1000"
+    )
+
+
 # ---------------------------------------------------------------------------
 # realize_generators
 # ---------------------------------------------------------------------------
@@ -339,6 +373,13 @@ def test_decompose_reports_failure_definitively():
         e for e in hilbert_basis(spec) if e.holomorphic == e.antiholomorphic
     )
     assert decompose(spec, ExponentVector((2, 0), (0, 1)), crippled) is None
+
+
+def test_decompose_checks_basis_length_on_every_call():
+    basis = hilbert_basis(ActionSpec(0, (1, 2)))
+    assert decompose(ActionSpec(0, (1, 2)), ExponentVector((2, 0), (0, 1)), basis) is not None
+    with pytest.raises(LengthMismatch):
+        decompose(ActionSpec(0, (1, 1, 1)), ExponentVector((1, 0, 0), (0, 1, 0)), basis)
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 1), (1, 2), (2, 3), (1, 2, 3)])
