@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .errors import IndexOutOfRange, NotEffective
@@ -33,7 +34,11 @@ class ActionSpec:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", integers(self.weights, "weights"))
+        try:
+            object.__setattr__(self, "trivial_dim", index(self.trivial_dim))
+        except TypeError:
+            raise ValueError(f"trivial_dim must be an integer, got {self.trivial_dim!r}") from None
         if self.trivial_dim < 0:
             raise ValueError(f"trivial_dim must be >= 0, got {self.trivial_dim}")
         if any(w < 1 for w in self.weights):
@@ -57,7 +62,23 @@ class ActionSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ActionSpec":
-        return cls(int(data["trivial_dim"]), tuple(data["weights"]))
+        trivial_dim, weights = data["trivial_dim"], tuple(data["weights"])
+        # bools and floats are not wire integers, as in the diagram JSON
+        if any(type(v) is not int for v in (trivial_dim, *weights)):
+            raise ValueError(f"spec JSON must hold integers, got {data!r}")
+        return cls(trivial_dim, weights)
+
+
+def integers(values: Iterable[int], name: str) -> tuple[int, ...]:
+    """The values as ints, by ``operator.index``, so that an int-like value
+    is accepted and a float or string is refused, never truncated.
+
+    Raises ValueError naming `name` if some value is not int-like.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{name} must be integers, got {values!r}") from None
 
 
 def canonicalize(raw_weights: Iterable[int], trivial_dim: int = 0) -> ActionSpec:
@@ -68,7 +89,7 @@ def canonicalize(raw_weights: Iterable[int], trivial_dim: int = 0) -> ActionSpec
     survivors are sorted ascending.  Raises :class:`NotEffective` if the
     remaining weights share a divisor.
     """
-    raw = [int(w) for w in raw_weights]
+    raw = integers(raw_weights, "weights")
     folded = trivial_dim + 2 * sum(1 for w in raw if w == 0)
     return ActionSpec(folded, tuple(sorted(abs(w) for w in raw if w != 0)))
 

@@ -31,7 +31,8 @@ class TooManyFaces(CircleActionError):
 
 class TooManyCandidates(CircleActionError):
     """A Hilbert basis completion would pass its fixed bound on grown
-    vectors or on domination comparisons."""
+    vectors or on domination comparisons, or the basis would hold more
+    conjugate pairs than the bound on grown vectors."""
 
 
 class NotInvariant(CircleActionError):

@@ -13,16 +13,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import ge, sub
+from math import comb
+from operator import ge, itemgetter, sub
 
-from .action import ActionSpec
+from .action import ActionSpec, integers
 from .errors import EmptyAction, LengthMismatch, NotInvariant, TooManyCandidates
 
 PART_ABS2 = "abs2"
 PART_RE = "re"
 PART_IM = "im"
-# Work bounds of hilbert_basis: vectors grown over all levels, and
-# comparisons of a grown vector with a recorded minimal element.
+# Work bounds of hilbert_basis: vectors grown over all levels (and conjugate
+# pairs built by the expansion over equal weights), and comparisons of a
+# grown vector with a recorded minimal element.
 MAX_BASIS_CANDIDATES = 100_000
 MAX_BASIS_COMPARISONS = 10_000_000
 
@@ -35,8 +37,8 @@ class ExponentVector:
     antiholomorphic: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "holomorphic", tuple(map(int, self.holomorphic)))
-        object.__setattr__(self, "antiholomorphic", tuple(map(int, self.antiholomorphic)))
+        object.__setattr__(self, "holomorphic", integers(self.holomorphic, "exponents"))
+        object.__setattr__(self, "antiholomorphic", integers(self.antiholomorphic, "exponents"))
         if len(self.holomorphic) != len(self.antiholomorphic):
             raise LengthMismatch(
                 f"holomorphic has {len(self.holomorphic)} entries, "
@@ -152,6 +154,104 @@ def is_invariant_exponent(spec: ActionSpec, e: ExponentVector) -> bool:
 def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
     """Minimal additive generating set of the invariant exponent monoid.
 
+    Coordinates of equal weight are interchangeable, so the basis is
+    completed over the distinct weights (:func:`_complete`) and then
+    expanded.  Summing the exponents within each class of equal weight maps
+    the invariant monoid of the spec onto that of its distinct weights, and
+    x is irreducible iff its image is.  If the image splits as Y + Z, the
+    entries of x can be split the same way within each class, since the
+    class sums of Y are at most those of x; both parts are invariant,
+    because invariance depends on the class sums alone, so x splits too.
+    Conversely, if x = y + z with y, z nonzero, the map is additive and
+    sends nonzero vectors to nonzero ones, so the image splits.  The basis
+    is therefore exactly the preimage of the basis over the distinct
+    weights: an aggregate element (K, Kbar) expands into every split of
+    each K_w into mu_w non-negative parts, one per coordinate of weight w,
+    times every split of each Kbar_w; the aggregate |z_w|^2 expands into
+    every z_i zbar_j with i and j in the class.  The completion runs over
+    the distinct weights in order of first appearance and returns each
+    aggregate element on the spec's coordinates, every coordinate holding
+    its class sum; the expansion then splits one class of repeated weight
+    at a time.  With all weights distinct it makes no pass, and the
+    completion runs over the spec's own order.
+
+    The completion refuses with :class:`TooManyCandidates` past its work
+    bounds.  The expansion is counted from binomials before any element is
+    built: it is refused when the basis would hold more than
+    MAX_BASIS_CANDIDATES conjugate pairs, as a completion over all m
+    coordinates would grow at least one vector per pair.  Every refusal
+    names the spec's own weights.
+    """
+    if spec.m == 0:
+        raise EmptyAction("no weighted coordinates: the invariant monoid is trivial")
+    m = spec.m
+    weights = spec.weights
+    classes: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        classes.setdefault(w, []).append(i)
+    # (k, kbar) on the spec's coordinates, each coordinate holding the sum
+    # over its class until the expansion splits that sum over the class.
+    solved = _complete(tuple(classes), weights)
+    repeated = [positions for positions in classes.values() if len(positions) > 1]
+
+    ways = [1] * len(solved)
+    for positions in repeated:
+        p, bars = positions[0], len(positions) - 1
+        ways = [
+            c * comb(k[p] + bars, bars) * comb(kbar[p] + bars, bars)
+            for c, (k, kbar) in zip(ways, solved)
+        ]
+    pairs = sum(ways) + sum(len(positions) * (len(positions) - 1) // 2 for positions in repeated)
+    if pairs > MAX_BASIS_CANDIDATES:
+        raise TooManyCandidates(
+            f"weights {list(weights)}: the Hilbert basis has {pairs} conjugate pairs "
+            f"of elements, against a bound of {MAX_BASIS_CANDIDATES}"
+        )
+
+    splits_of: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def splits(n: int, mu: int) -> list[tuple[int, ...]]:
+        """Every tuple of mu non-negative ints summing to n."""
+        if mu == 1:
+            return [(n,)]
+        if (n, mu) not in splits_of:
+            splits_of[n, mu] = [
+                (head,) + rest for head in range(n, -1, -1) for rest in splits(n - head, mu - 1)
+            ]
+        return splits_of[n, mu]
+
+    def spread(v: tuple[int, ...], positions: list[int], place: itemgetter) -> list[tuple]:
+        """v with the class sum it holds at `positions` split over them."""
+        return [place(v + part) for part in splits(v[positions[0]], len(positions))]
+
+    for positions in repeated:
+        # Reads v + part back as v with part written over the class.
+        place = itemgetter(*(m + positions.index(i) if i in positions else i for i in range(m)))
+        solved = [
+            (a, b)
+            for k, kbar in solved
+            for bs in (spread(kbar, positions, place),)
+            for a in spread(k, positions, place)
+            for b in bs
+        ]
+
+    new = ExponentVector._trusted
+    units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
+    basis = [new(units[i], units[j]) for group in classes.values() for i in group for j in group]
+    basis += [new(k, kbar) for k, kbar in solved]
+    basis += [new(kbar, k) for k, kbar in solved]
+    return frozenset(basis)
+
+
+def _complete(
+    weights: tuple[int, ...], spec_weights: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The minimal invariant (k, kbar) other than |z_j|^2, one per conjugate pair.
+
+    The completion runs over the distinct `weights`.  Each solved vector is
+    unpacked onto the coordinates of `spec_weights`: every coordinate of
+    weight w holds the entry for w.
+
     The m elements |z_j|^2 are minimal, and every other minimal element has
     k_j * kbar_j = 0 for each j, or it would dominate |z_j|^2.  So the rest
     of the basis is the set of nonzero signed vectors s = k - kbar with
@@ -190,17 +290,15 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
     c & mask_f, which is v shifted into field f.  Only solved vectors are
     unpacked into exponent tuples.
 
-    The completion refuses with :class:`TooManyCandidates` when it would
-    grow more than MAX_BASIS_CANDIDATES vectors, or once it has made
-    MAX_BASIS_COMPARISONS domination comparisons.  The first bound stops
-    large weight ratios: weights (1, r) have a minimal element of degree
-    r + 1, so they take r levels.  The second stops many coordinates of
-    small weights, whose minimal elements crowd the (i, v) buckets.
+    The completion refuses with :class:`TooManyCandidates`, naming
+    `spec_weights`, when it would grow more than MAX_BASIS_CANDIDATES
+    vectors, or once it has made MAX_BASIS_COMPARISONS domination
+    comparisons.  The first bound stops large weight ratios: weights
+    (1, r) have a minimal element of degree r + 1, so they take r levels.
+    The second stops many coordinates of small weights, whose minimal
+    elements crowd the (i, v) buckets.
     """
-    if spec.m == 0:
-        raise EmptyAction("no weighted coordinates: the invariant monoid is trivial")
-    m = spec.m
-    weights = spec.weights
+    m = len(weights)
     cap = max(weights)
     b = cap.bit_length() + 1
     half = b * m
@@ -209,6 +307,10 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
     masks = [field << shift for shift in shifts]
     guards = sum(1 << (shift + b - 1) for shift in shifts)
     low_half = (1 << half) - 1
+    field_of = {w: shifts[c] for c, w in enumerate(weights)}
+    unpack = [field_of[w] for w in spec_weights]
+    unpack += [shift + half for shift in unpack]
+    n = len(spec_weights)
     # Steps at coordinate i: (unit, mask of the grown field, mask of the
     # opposite field, change of rotation weight); upward grows k_i, downward kbar_i.
     up = [(1 << shifts[i], masks[i], masks[m + i], w) for i, w in enumerate(weights)]
@@ -218,7 +320,7 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
     frontier = {unit: (w, j, 1) for j, (unit, _, _, w) in enumerate(up)}
     # (i, v) as v in its field -> each recorded minimal t = s or -s with t_i = v.
     index: dict[int, list[int]] = {}
-    basis = {abs2_exponent(m, j) for j in range(1, m + 1)}
+    found = []
     level = 1
     grown = len(frontier)
     compared = 0
@@ -242,7 +344,7 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
                     continue
                 if grown >= MAX_BASIS_CANDIDATES or compared >= MAX_BASIS_COMPARISONS:
                     raise TooManyCandidates(
-                        f"weights {list(weights)}: by degree {level + 1} the Hilbert basis "
+                        f"weights {list(spec_weights)}: by degree {level + 1} the Hilbert basis "
                         f"completion grew {grown} vectors and made {compared} domination "
                         f"comparisons, against bounds of {MAX_BASIS_CANDIDATES} and "
                         f"{MAX_BASIS_COMPARISONS}"
@@ -261,17 +363,15 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
                         solved.append(child)
         for s in solved:
             del next_frontier[s]
-            entries = [(s >> shift) & field for shift in shifts]
-            k, kbar = tuple(entries[:m]), tuple(entries[m:])
-            basis.add(ExponentVector._trusted(k, kbar))
-            basis.add(ExponentVector._trusted(kbar, k))
+            entries = [(s >> shift) & field for shift in unpack]
+            found.append((tuple(entries[:n]), tuple(entries[n:])))
             for t in (s, (s >> half) | ((s & low_half) << half)):
                 for mask in masks:
                     if t & mask:
                         index.setdefault(t & mask, []).append(t)
         frontier = next_frontier
         level += 1
-    return frozenset(basis)
+    return found
 
 
 def realize_generators(basis: frozenset[ExponentVector]) -> list[InvariantGenerator]:

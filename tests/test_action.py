@@ -128,3 +128,46 @@ def test_isotropy_order_matches_gcd_label_on_nonempty_supports():
     for j in range(1, 6):
         assert isotropy_order(spec, {j}) == gcd_label(spec, {j})
     assert isotropy_order(spec, {2, 4}) == gcd_label(spec, {2, 4})
+
+
+class _IntLike:
+    """A non-int value that converts losslessly, as numpy integers do."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ActionSpec(0, (1.5, 2)),
+        lambda: ActionSpec.from_json({"trivial_dim": 0, "weights": [1.9, 2.2]}),
+        lambda: ActionSpec.from_json({"trivial_dim": True, "weights": [1]}),
+        lambda: ActionSpec.from_json({"trivial_dim": 0, "weights": [True, 2]}),
+        lambda: canonicalize([2.7, 3]),
+        lambda: ActionSpec(1.5, (1,)),
+        lambda: ActionSpec(0, ("2", "3")),
+    ],
+    ids=[
+        "float-weight",
+        "json-float-weights",
+        "json-bool-trivial-dim",
+        "json-bool-weight",
+        "canonicalize-float",
+        "float-trivial-dim",
+        "str-weights",
+    ],
+)
+def test_non_integer_input_is_refused_not_truncated(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+def test_int_like_input_is_accepted():
+    spec = ActionSpec(_IntLike(2), (_IntLike(1), _IntLike(2)))
+    assert spec == ActionSpec(2, (1, 2))
+    assert type(spec.trivial_dim) is int and all(type(w) is int for w in spec.weights)
+    assert canonicalize([_IntLike(-3), 0, 2]) == ActionSpec(2, (2, 3))

@@ -124,6 +124,13 @@ def test_exponent_vector_validation():
         ExponentVector((-1,), (0,))
 
 
+def test_exponent_vector_refuses_non_integer_exponents():
+    with pytest.raises(ValueError, match="integer"):
+        ExponentVector.from_json({"k": [0.5, 0], "kbar": [0, 0]})
+    with pytest.raises(ValueError, match="integer"):
+        ExponentVector((1, 0), (0, 2.0))
+
+
 def test_exponent_vector_json_roundtrip():
     e = ExponentVector((2, 0), (0, 1))
     assert ExponentVector.from_json(e.to_json()) == e
@@ -277,6 +284,74 @@ def test_basis_refusal_reports_the_work_done(monkeypatch):
     assert str(refused.value) == (
         "weights [1, 2, 3, 4, 5, 6, 7]: by degree 5 the Hilbert basis completion grew "
         "315 vectors and made 1013 domination comparisons, against bounds of 100000 and 1000"
+    )
+
+
+# Equal weights: the basis is completed over the distinct weights and
+# expanded within each class of equal weight.
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 2)])
+def test_basis_with_equal_weights_matches_box_oracle(weights):
+    assert hilbert_basis(ActionSpec(0, weights)) == box_basis_oracle(weights)
+
+
+def permuted(e, perm):
+    return ExponentVector(
+        tuple(e.holomorphic[i] for i in perm), tuple(e.antiholomorphic[i] for i in perm)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_permuting_the_weights_permutes_the_basis(data):
+    # A pool of at most three values, so that most draws repeat a weight.
+    pool = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    raw = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    shared = math.gcd(*raw)
+    weights = tuple(w // shared for w in raw)
+    perm = data.draw(st.permutations(range(len(weights))))
+    basis = hilbert_basis(ActionSpec(0, weights))
+    moved = hilbert_basis(ActionSpec(0, tuple(weights[i] for i in perm)))
+    assert moved == {permuted(e, perm) for e in basis}
+
+
+@pytest.mark.parametrize(
+    "weights, size",
+    [
+        ((1,) * 40, 1600),
+        ((1, 1, 1, 1, 1, 1, 7), 1621),
+        ((2, 2, 2, 3, 3, 3, 5, 5), 1162),
+        ((1, 1, 1, 2, 2, 2, 3, 3, 3), 405),
+        ((3, 1, 2, 1, 3, 2), 104),
+    ],
+)
+def test_basis_size_with_equal_weights(weights, size):
+    assert len(hilbert_basis(ActionSpec(0, weights))) == size
+
+
+def test_basis_expansion_is_refused_up_front():
+    # The pairs z^K zbar_13, one for each split K of 12 into twelve parts,
+    # number C(23, 11) = 1,352,078; they are counted, not built.
+    weights = (1,) * 12 + (12,)
+    start = time.perf_counter()
+    with pytest.raises(TooManyCandidates) as refused:
+        hilbert_basis(ActionSpec(0, weights))
+    assert time.perf_counter() - start < 1.0
+    assert str(list(weights)) in str(refused.value)
+
+
+def test_basis_expansion_bound_counts_conjugate_pairs(monkeypatch):
+    # 1621 elements: the 7 |z_j|^2 and 807 conjugate pairs.
+    weights = (1, 1, 1, 1, 1, 1, 7)
+    monkeypatch.setattr(invariants, "MAX_BASIS_CANDIDATES", 807)
+    assert len(hilbert_basis(ActionSpec(0, weights))) == 1621
+    monkeypatch.setattr(invariants, "MAX_BASIS_CANDIDATES", 806)
+    with pytest.raises(TooManyCandidates) as refused:
+        hilbert_basis(ActionSpec(0, weights))
+    assert str(refused.value) == (
+        "weights [1, 1, 1, 1, 1, 1, 7]: the Hilbert basis has 807 conjugate pairs "
+        "of elements, against a bound of 806"
     )
 
 
