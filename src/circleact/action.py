@@ -95,7 +95,7 @@ def canonicalize(raw_weights: Iterable[int], trivial_dim: int = 0) -> ActionSpec
 
 
 def _checked_indices(spec: ActionSpec, indices: Iterable[int]) -> frozenset[int]:
-    idx = frozenset(int(i) for i in indices)
+    idx = frozenset(integers(indices, "indices"))
     bad = [i for i in idx if not 1 <= i <= spec.m]
     if bad:
         raise IndexOutOfRange(f"indices {sorted(bad)} outside 1..{spec.m}")

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import ge, itemgetter, sub
+from operator import attrgetter, ge, itemgetter, sub
 
 from .action import ActionSpec, integers
 from .errors import EmptyAction, LengthMismatch, NotInvariant, TooManyCandidates
@@ -29,7 +29,7 @@ MAX_BASIS_CANDIDATES = 100_000
 MAX_BASIS_COMPARISONS = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExponentVector:
     """Exponents (k_1..k_m, kbar_1..kbar_m) of a monomial z^k zbar^kbar."""
 
@@ -59,9 +59,8 @@ class ExponentVector:
     def _trusted(cls, k: tuple[int, ...], kbar: tuple[int, ...]) -> "ExponentVector":
         """Build from int tuples already known to be valid, skipping the checks."""
         e = object.__new__(cls)
-        fields = e.__dict__  # written directly, as the class is frozen
-        fields["holomorphic"] = k
-        fields["antiholomorphic"] = kbar
+        _set_k(e, k)
+        _set_kbar(e, kbar)
         return e
 
     def conjugate(self) -> "ExponentVector":
@@ -99,7 +98,7 @@ def abs2_exponent(m: int, j: int) -> ExponentVector:
     return ExponentVector(unit, unit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantGenerator:
     """A real-valued generator: |z_j|^2, or Re/Im of one invariant monomial."""
 
@@ -111,12 +110,15 @@ class InvariantGenerator:
             raise ValueError(f"unknown part {self.part!r}")
         if self.part == PART_ABS2:
             e = self.exponents
-            if e.holomorphic != e.antiholomorphic or sorted(e.holomorphic) != [0] * (
-                e.m - 1
-            ) + [1]:
-                raise ValueError(
-                    "abs2 generators must be a single |z_j|^2 exponent vector"
-                )
+            if e.holomorphic != e.antiholomorphic or sorted(e.holomorphic) != [0] * (e.m - 1) + [1]:
+                raise ValueError("abs2 generators must be a single |z_j|^2 exponent vector")
+
+    @classmethod
+    def _trusted(cls, e: ExponentVector, part: str) -> "InvariantGenerator":
+        g = object.__new__(cls)
+        _set_exponents(g, e)
+        _set_part(g, part)
+        return g
 
     @property
     def degree(self) -> int:
@@ -130,6 +132,11 @@ class InvariantGenerator:
     @classmethod
     def from_json(cls, data: dict) -> "InvariantGenerator":
         return cls(ExponentVector.from_json(data), data["part"])
+
+
+# Frozen-slot setters, bound once: a per-object lookup costs most of what _trusted saves.
+_set_k, _set_kbar = ExponentVector.holomorphic.__set__, ExponentVector.antiholomorphic.__set__
+_set_exponents, _set_part = InvariantGenerator.exponents.__set__, InvariantGenerator.part.__set__
 
 
 def _check_length(spec: ActionSpec, e: ExponentVector) -> None:
@@ -378,30 +385,23 @@ def realize_generators(basis: frozenset[ExponentVector]) -> list[InvariantGenera
     """Turn a Hilbert basis into an ordered list of real generators.
 
     The basis must be closed under conjugation, as every Hilbert basis is.
-    The |z_j|^2 generators come first, ordered by j.  Each conjugate pair
-    contributes Re and Im of one canonical representative: the member whose
-    concatenated exponent tuple is lexicographically larger, which is the
-    monomial carrying holomorphic powers on the earlier coordinates.  Pairs
-    are listed by increasing degree, ties broken by the representative key.
+    The |z_j|^2 generators (k == kbar) come first, ordered by j.  Each pair
+    gives Re and Im of its member with k > kbar, whose k + kbar is the larger
+    concatenation, as the two first differ where k and kbar do.  Pairs are
+    listed by increasing degree, ties broken by k + kbar.
     """
-    if not basis:
-        return []
-    abs2 = [
-        InvariantGenerator(e, PART_ABS2)
-        for e in basis
-        if e.holomorphic == e.antiholomorphic
-    ]
+    abs2, reps = [], []
+    for e in basis:
+        if e.holomorphic == e.antiholomorphic:
+            abs2.append(InvariantGenerator(e, PART_ABS2))
+        elif e.holomorphic > e.antiholomorphic:
+            reps.append(e)
     abs2.sort(key=lambda g: g.exponents.holomorphic.index(1))
-    generators: list[InvariantGenerator] = list(abs2)
-
-    # The basis holds both members of each pair, so keep the larger one.
-    reps = [
-        e for e in basis if e.holomorphic + e.antiholomorphic > e.antiholomorphic + e.holomorphic
-    ]
-    for e in sorted(reps, key=lambda e: (e.degree, e.key())):
-        generators.append(InvariantGenerator(e, PART_RE))
-        generators.append(InvariantGenerator(e, PART_IM))
-    return generators
+    # (degree, k, kbar) order by stable passes: a decorated tuple per element costs GC time.
+    for key in ("antiholomorphic", "holomorphic", "degree"):
+        reps.sort(key=attrgetter(key))
+    new = InvariantGenerator._trusted
+    return abs2 + [new(e, part) for e in reps for part in (PART_RE, PART_IM)]
 
 
 @lru_cache(maxsize=8)

@@ -130,6 +130,13 @@ def test_isotropy_order_matches_gcd_label_on_nonempty_supports():
     assert isotropy_order(spec, {2, 4}) == gcd_label(spec, {2, 4})
 
 
+@pytest.mark.parametrize("query", [gcd_label, isotropy_order])
+@pytest.mark.parametrize("indices", [[1.7], [2.2], ["1"], [1, 2.0]])
+def test_non_integer_indices_are_refused_not_truncated(query, indices):
+    with pytest.raises(ValueError, match="indices must be integers"):
+        query(ActionSpec(0, (2, 3)), indices)
+
+
 class _IntLike:
     """A non-int value that converts losslessly, as numpy integers do."""
 

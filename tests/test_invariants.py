@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import time
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -10,6 +13,7 @@ from circleact import (
     ActionSpec,
     EmptyAction,
     ExponentVector,
+    InvariantGenerator,
     LengthMismatch,
     NotInvariant,
     PART_ABS2,
@@ -401,6 +405,66 @@ def test_generators_abs2_first_then_conjugate_pairs(weights):
         assert (re_gen.part, im_gen.part) == (PART_RE, PART_IM)
         assert re_gen.exponents == im_gen.exponents
         assert re_gen.exponents.key() > re_gen.exponents.conjugate().key()
+
+
+def reference_generators(basis):
+    """The generators by the concatenated-key rule: a pair's representative
+    is the member e with e.key() > e.conjugate().key(), representatives are
+    sorted by (degree, key()), and |z_j|^2 by the position j."""
+    abs2 = [InvariantGenerator(e, PART_ABS2) for e in basis if e == e.conjugate()]
+    abs2.sort(key=lambda g: g.exponents.holomorphic.index(1))
+    reps = sorted(
+        (e for e in basis if e.key() > e.conjugate().key()), key=lambda e: (e.degree, e.key())
+    )
+    return abs2 + [InvariantGenerator(e, part) for e in reps for part in (PART_RE, PART_IM)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generators_match_the_concatenated_key_rule(data):
+    # Any conjugation-closed set of exponent vectors, not only Hilbert bases.
+    m = data.draw(st.integers(1, 4))
+    side = st.tuples(*[st.integers(0, 3)] * m)
+    units = data.draw(st.sets(st.integers(1, m)))
+    pairs = data.draw(st.lists(st.tuples(side, side).filter(lambda p: p[0] != p[1])))
+    basis = {abs2_exponent(m, j) for j in units}
+    basis |= {ExponentVector(k, kbar) for k, kbar in pairs}
+    basis |= {e.conjugate() for e in basis}
+    assert realize_generators(frozenset(basis)) == reference_generators(basis)
+
+
+def test_generators_refuse_a_self_conjugate_element_that_is_no_unit():
+    basis = frozenset({ExponentVector((2, 0), (2, 0)), ExponentVector((0, 1), (0, 1))})
+    with pytest.raises(ValueError, match="single"):
+        realize_generators(basis)
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (ExponentVector((2, 0), (0, 1)), "holomorphic"),
+        (InvariantGenerator(ExponentVector((2, 0), (0, 1)), PART_RE), "part"),
+        (InvariantGenerator(abs2_exponent(2, 1), PART_ABS2), "exponents"),
+    ],
+)
+def test_value_types_are_frozen_slotted_copyable_and_picklable(value, field):
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+    assert not hasattr(value, "__dict__")
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is type(value)
+        assert other == value
+        assert hash(other) == hash(value)
+
+
+def test_trusted_exponent_vector_equals_the_checked_one():
+    for k, kbar in [((2, 0), (0, 1)), ((1,), (1,)), ((0, 0, 3), (1, 2, 0))]:
+        trusted = ExponentVector._trusted(k, kbar)
+        assert trusted == ExponentVector(k, kbar)
+        assert hash(trusted) == hash(ExponentVector(k, kbar))
+        assert {trusted} == {ExponentVector(k, kbar)}
 
 
 # ---------------------------------------------------------------------------
