@@ -18,6 +18,7 @@ from .errors import (
     ParityError,
     TooManyCandidates,
     TooManyFaces,
+    TooManyWeights,
     UnknownStratum,
 )
 from .invariants import (

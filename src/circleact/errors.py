@@ -29,6 +29,10 @@ class TooManyFaces(CircleActionError):
     """An explicit face listing would exceed its fixed size bound."""
 
 
+class TooManyWeights(CircleActionError):
+    """A diagram claims more weights than the fixed bound on recovery."""
+
+
 class TooManyCandidates(CircleActionError):
     """A Hilbert basis completion would pass its fixed bound on grown
     vectors or on domination comparisons, or the basis would hold more

@@ -21,8 +21,11 @@ from .errors import (
     NoDistinguishedStratum,
     NotEffective,
     ParityError,
+    TooManyWeights,
 )
 from .stratification import StratificationDiagram, Stratum, orbit_strata
+
+MAX_RECOVERED_WEIGHTS = 10**6  # no list of weights is built past this m
 
 
 def infer_dimensions(diagram: StratificationDiagram) -> tuple[int, int, int]:
@@ -73,6 +76,10 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
     offending stratum.
     """
     n, trivial_dim, m = infer_dimensions(diagram)
+    if m > MAX_RECOVERED_WEIGHTS:
+        raise TooManyWeights(
+            f"diagram claims m = {m} weights, past the bound of {MAX_RECOVERED_WEIGHTS}"
+        )
     finite = diagram.finite_strata
     _validate_orders(diagram, finite)
     top_dim = n - 1

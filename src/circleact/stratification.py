@@ -223,12 +223,19 @@ def depth(diagram: StratificationDiagram, s: Stratum | str) -> int:
     finite_ids = {f.id for f in diagram.finite_strata}
 
     memo: dict[str, int] = {top_id: 0}
+    in_progress: set[str] = set()
 
     def chase(current: str) -> int:
         if current in memo:
             return memo[current]
+        if current in in_progress:
+            raise MalformedDiagram(
+                f"closure relation cycles through stratum {current!r}"
+            )
+        in_progress.add(current)
         ups = diagram.strictly_above(current) & finite_ids
         heights = [chase(u) for u in ups]
+        in_progress.discard(current)
         if not heights:
             raise MalformedDiagram(f"stratum {current!r} has no chain to the top")
         memo[current] = 1 + max(heights)

@@ -258,6 +258,25 @@ def test_recover_accepts_the_unmodified_wire_fixture(capsys, tmp_path):
     assert json.loads(out)["weights"] == [1, 2]
 
 
+@pytest.mark.parametrize("m", [10**6 + 1, 10**20])
+def test_recover_refuses_a_diagram_claiming_too_many_weights(capsys, monkeypatch, m):
+    diagram = {
+        "ambient_dim": 2 * m,
+        "strata": [
+            {"id": "a", "order": 1, "dim": 2 * m - 1},
+            {"id": "d", "order": "inf", "dim": 0},
+        ],
+        "closure": [["d", "a"]],
+    }
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(diagram)))
+    code, out, err = run_cli(capsys, "recover", "--diagram", "-")
+    assert code == 2
+    assert out == ""
+    assert f"TooManyWeights: diagram claims m = {m} weights" in err
+    assert "1000000" in err
+    assert "Traceback" not in err
+
+
 def test_stratify_text_refuses_more_than_16_coordinates(capsys, tmp_path):
     weights = ",".join(str(w) for w in range(1, 18))
     dot_path = tmp_path / "wide.dot"

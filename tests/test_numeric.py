@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleact import (
+    PART_IM,
+    PART_RE,
     ActionSpec,
+    ExponentVector,
     IndexOutOfRange,
+    InvariantGenerator,
     LengthMismatch,
     NotCoprime,
     check_axes_image,
@@ -70,6 +74,77 @@ def test_evaluate_single_modulus():
 def test_evaluate_length_mismatch():
     with pytest.raises(LengthMismatch):
         evaluate_hilbert_map(generators_for((1, 2)), (1 + 0j,))
+
+
+def power_table_evaluation(generators, point):
+    """Reference evaluator: per-coordinate tables of z_j^0..z_j^top built by
+    repeated multiplication, each monomial a product of table entries."""
+    tables = []
+    for z in point:
+        holo, anti = [1 + 0j], [1 + 0j]
+        for _ in range(max((g.exponents.degree for g in generators), default=0)):
+            holo.append(holo[-1] * z)
+            anti.append(anti[-1] * z.conjugate())
+        tables.append((holo, anti))
+    values = []
+    for g in generators:
+        w = 1 + 0j
+        for k, kbar, (holo, anti) in zip(
+            g.exponents.holomorphic, g.exponents.antiholomorphic, tables
+        ):
+            w *= holo[k] * anti[kbar]
+        values.append(w.imag if g.part == PART_IM else w.real)
+    return tuple(values)
+
+
+@st.composite
+def generators_and_point(draw):
+    m = draw(st.integers(1, 4))
+    exponents = st.lists(st.integers(0, 250), min_size=m, max_size=m).map(tuple)
+    generators = draw(
+        st.lists(
+            st.builds(
+                InvariantGenerator,
+                st.builds(ExponentVector, exponents, exponents),
+                st.sampled_from([PART_RE, PART_IM]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    modulus = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    point = tuple(
+        draw(modulus) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        for _ in range(m)
+    )
+    return generators, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(generators_and_point())
+def test_evaluate_agrees_with_sequential_power_tables(case):
+    # exponents up to 250 reach both sides of CPython's complex ** int
+    # cutoff at 100 (squaring below, exp/log above)
+    generators, point = case
+    fast = evaluate_hilbert_map(generators, point)
+    slow = power_table_evaluation(generators, point)
+    assert all(abs(a - b) <= 1e-11 for a, b in zip(fast, slow))
+
+
+def test_evaluate_at_a_high_exponent():
+    z = cmath.exp(2j * math.pi / 7)
+    k = (10**6 + 1,)  # = 2 mod 7
+    generators = [
+        InvariantGenerator(ExponentVector(k, (0,)), part) for part in (PART_RE, PART_IM)
+    ]
+    re, im = evaluate_hilbert_map(generators, (z,))
+    assert abs(complex(re, im) - cmath.exp(4j * math.pi / 7)) <= 1e-9
+
+
+def test_evaluate_past_the_float_range_raises_overflow():
+    g = InvariantGenerator(ExponentVector((2000, 0), (0, 1)), PART_RE)
+    with pytest.raises(OverflowError):
+        evaluate_hilbert_map([g], (2 + 0j, 1j))
 
 
 def test_same_orbit_by_construction():

@@ -13,6 +13,7 @@ from circleact import (
     EmptyAction,
     FaceClass,
     INFINITE,
+    MalformedDiagram,
     StratificationDiagram,
     Stratum,
     TooManyFaces,
@@ -314,6 +315,27 @@ def test_depth_rejects_unknown_stratum():
     diagram = orbit_strata(ActionSpec(0, (1, 2)))
     with pytest.raises(UnknownStratum):
         depth(diagram, "order:17")
+
+
+def test_depth_rejects_a_closure_cycle():
+    # a and b sit strictly above each other; a also sits below the top t
+    diagram = StratificationDiagram.from_json(
+        {
+            "ambient_dim": 4,
+            "strata": [
+                {"id": "t", "order": 1, "dim": 3},
+                {"id": "a", "order": 2, "dim": 1},
+                {"id": "b", "order": 3, "dim": 1},
+                {"id": "d", "order": "inf", "dim": 0},
+            ],
+            "closure": [
+                ["a", "b"], ["b", "a"], ["a", "t"],
+                ["d", "t"], ["d", "a"], ["d", "b"],
+            ],
+        }
+    )
+    with pytest.raises(MalformedDiagram, match="cycles through stratum 'a'"):
+        depth(diagram, "a")
 
 
 def test_deeper_chains_through_divisor_towers():
