@@ -19,6 +19,7 @@ from .errors import (
     TooManyCandidates,
     TooManyFaces,
     TooManyWeights,
+    UncertifiedDiagram,
     UnknownStratum,
 )
 from .invariants import (
@@ -53,6 +54,7 @@ from .stratification import (
     StratificationDiagram,
     Stratum,
     depth,
+    diagram_difference,
     face_table,
     hasse_edges,
     orbit_strata,

@@ -72,3 +72,7 @@ class NegativeMultiplicity(MalformedDiagram):
 
 class CountMismatch(MalformedDiagram):
     """The recovered weight count disagrees with the inferred m."""
+
+
+class UncertifiedDiagram(MalformedDiagram):
+    """No action produces the diagram: its recovered action's diagram differs."""

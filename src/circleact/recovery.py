@@ -11,7 +11,8 @@ leaves the number of weights equal to that stratum's own order.
 
 from __future__ import annotations
 
-import math
+from itertools import combinations
+from math import gcd
 
 from .action import ActionSpec
 from .errors import (
@@ -19,11 +20,11 @@ from .errors import (
     MalformedDiagram,
     NegativeMultiplicity,
     NoDistinguishedStratum,
-    NotEffective,
     ParityError,
     TooManyWeights,
+    UncertifiedDiagram,
 )
-from .stratification import StratificationDiagram, Stratum, orbit_strata
+from .stratification import StratificationDiagram, diagram_difference, orbit_strata
 
 MAX_RECOVERED_WEIGHTS = 10**6  # no list of weights is built past this m
 
@@ -43,19 +44,15 @@ def infer_dimensions(diagram: StratificationDiagram) -> tuple[int, int, int]:
         )
     tops = diagram.maximal_finite()
     if len(tops) != 1:
-        raise MalformedDiagram(
-            f"expected exactly one top stratum, found {len(tops)}"
-        )
+        raise MalformedDiagram(f"expected exactly one top stratum, found {len(tops)}")
     n = tops[0].dim + 1
     if diagram.ambient_dim != n:
-        raise MalformedDiagram(
-            f"ambient_dim {diagram.ambient_dim} != top stratum dim + 1 = {n}"
-        )
+        raise MalformedDiagram(f"ambient_dim {diagram.ambient_dim} != top stratum dim + 1 = {n}")
     trivial_dim = infinite[0].dim
+    if trivial_dim < 0:
+        raise MalformedDiagram(f"distinguished stratum has negative dim {trivial_dim}")
     if n - trivial_dim <= 0:
-        raise NoDistinguishedStratum(
-            "top stratum does not sit above the distinguished stratum"
-        )
+        raise NoDistinguishedStratum("top stratum does not sit above the distinguished stratum")
     if (n - trivial_dim) % 2 != 0:
         raise ParityError(
             f"n - trivial_dim = {n - trivial_dim} is odd; "
@@ -68,12 +65,14 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
     """Extract the weight multiset from an abstract diagram.
 
     For each finite stratum S of codimension c (relative to the top
-    stratum), the simplex face it realizes has m - c/2 vertices.  Walking
-    the strata from the most nested outward, the vertices not claimed by
-    strictly smaller strata belong to S itself, each contributing one copy
-    of S's isotropy order.  Diagrams that cannot have come from an
-    effective linear circle action fail with a diagnostic naming the
-    offending stratum.
+    stratum), the simplex face it realizes has m - c/2 vertices.  The
+    vertices not claimed by strictly smaller strata belong to S itself,
+    each contributing one copy of S's isotropy order.  In a diagram of an
+    action every stratum strictly below S has a proper multiple of S's
+    order, so one pass by decreasing order counts them before S.  The
+    recovered action is then stratified again, and any difference from the
+    input raises UncertifiedDiagram: a diagram is accepted exactly when
+    some effective linear circle action produces it.
     """
     n, trivial_dim, m = infer_dimensions(diagram)
     if m > MAX_RECOVERED_WEIGHTS:
@@ -81,80 +80,42 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
             f"diagram claims m = {m} weights, past the bound of {MAX_RECOVERED_WEIGHTS}"
         )
     finite = diagram.finite_strata
-    _validate_orders(diagram, finite)
-    top_dim = n - 1
+    if any(not isinstance(s.order, int) or s.order < 1 for s in finite):
+        raise MalformedDiagram("finite strata must carry positive integer orders")
 
-    vertices: dict[str, int] = {}
-    for s in finite:
-        codim = top_dim - s.dim
-        if codim < 0:
-            raise MalformedDiagram(f"stratum {s.id!r} lies above the top stratum")
+    ranked = sorted(finite, key=lambda s: s.order)
+    own = {diagram.distinguished.id: 0}  # the fixed points carry no weight
+    for s in reversed(ranked):
+        codim = n - 1 - s.dim
         if codim % 2 != 0:
             raise ParityError(f"stratum {s.id!r} has odd codimension {codim}")
-        count = m - codim // 2
+        below = diagram.strictly_below(s.id)
+        uncounted = sorted(below - own.keys())
+        if uncounted:
+            raise MalformedDiagram(f"{uncounted[0]!r} lies below {s.id!r} without a larger order")
+        count = m - codim // 2 - sum(own[b] for b in below)
         if count < 0:
-            raise MalformedDiagram(
-                f"stratum {s.id!r} has codimension {codim} exceeding 2m = {2 * m}"
-            )
-        vertices[s.id] = count
-
-    finite_ids = {s.id for s in finite}
-    own: dict[str, int] = {}
-    in_progress: set[str] = set()
-
-    def claim(stratum_id: str) -> int:
-        if stratum_id in own:
-            return own[stratum_id]
-        if stratum_id in in_progress:
-            raise MalformedDiagram(
-                f"closure relation cycles through stratum {stratum_id!r}"
-            )
-        in_progress.add(stratum_id)
-        nested = sum(
-            claim(below) for below in diagram.strictly_below(stratum_id) & finite_ids
-        )
-        in_progress.discard(stratum_id)
-        count = vertices[stratum_id] - nested
-        if count < 0:
-            raise NegativeMultiplicity(
-                f"stratum {stratum_id!r} would carry {count} weights"
-            )
-        own[stratum_id] = count
-        return count
-
-    for s in finite:
-        claim(s.id)
+            raise NegativeMultiplicity(f"stratum {s.id!r} would carry {count} weights")
+        own[s.id] = count
 
     if sum(own.values()) != m:
-        raise CountMismatch(
-            f"recovered {sum(own.values())} weights, expected m = {m}"
-        )
+        raise CountMismatch(f"recovered {sum(own.values())} weights, expected m = {m}")
     weights: list[int] = []
-    for s in finite:
-        weights.extend([int(s.order)] * own[s.id])
-    weights.sort()
-    if weights and math.gcd(*weights) != 1:
-        raise NotEffective(
-            f"recovered weights {weights} have gcd {math.gcd(*weights)} > 1"
+    for s in ranked:
+        weights += [s.order] * own[s.id]
+    # ActionSpec raises NotEffective when the weights share a divisor.
+    spec = ActionSpec(trivial_dim, tuple(weights))
+    # An action's orders are gcd-closed; if not, orbit_strata may build 2^k strata from k.
+    orders = {s.order for s in finite}
+    for a, b in combinations(sorted(orders), 2):
+        if gcd(a, b) not in orders:
+            raise UncertifiedDiagram(f"no stratum has order {gcd(a, b)}, the gcd of {a} and {b}")
+    difference = diagram_difference(diagram, orbit_strata(spec))
+    if difference is not None:
+        raise UncertifiedDiagram(
+            f"this diagram (first) differs from its recovered action's (second): {difference}"
         )
-    return tuple(weights)
-
-
-def _validate_orders(
-    diagram: StratificationDiagram, finite: tuple[Stratum, ...]
-) -> None:
-    orders = [s.order for s in finite]
-    if any(not isinstance(o, int) or o < 1 for o in orders):
-        raise MalformedDiagram("finite strata must carry positive integer orders")
-    if len(set(orders)) != len(orders):
-        raise MalformedDiagram("finite strata must have pairwise distinct orders")
-    by_id = {s.id: s for s in finite}
-    for a, b in diagram.closure:
-        if a in by_id and b in by_id:
-            if by_id[a].order % by_id[b].order != 0:
-                raise MalformedDiagram(
-                    f"closure pair ({a!r}, {b!r}) violates order divisibility"
-                )
+    return spec.weights
 
 
 def roundtrip(spec: ActionSpec) -> bool:

@@ -11,6 +11,7 @@ distinguished stratum of infinite order below everything else.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -60,22 +61,31 @@ class StratificationDiagram:
 
     `closure` holds strict pairs (below, above); the partial order itself is
     the reflexive hull.  The wire format deliberately omits face data so
-    that consumers of the JSON see only abstract strata.
+    that consumers of the JSON see only abstract strata.  The closure is
+    indexed once, into the ids strictly above and strictly below each
+    stratum; the accessors hand out copies.
     """
 
     ambient_dim: int
     strata: tuple[Stratum, ...]
     closure: frozenset[tuple[str, str]]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
+    _above: dict = field(init=False, repr=False, compare=False, hash=False)
+    _below: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         by_id = {s.id: s for s in self.strata}
         if len(by_id) != len(self.strata):
             raise MalformedDiagram("duplicate stratum ids")
+        above, below = ({i: set() for i in by_id} for _ in range(2))
         for a, b in self.closure:
             if a not in by_id or b not in by_id:
                 raise MalformedDiagram(f"closure pair ({a}, {b}) names unknown strata")
+            above[a].add(b)
+            below[b].add(a)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_above", above)
+        object.__setattr__(self, "_below", below)
 
     def stratum(self, stratum_id: str) -> Stratum:
         try:
@@ -97,18 +107,14 @@ class StratificationDiagram:
         return below == above or (below, above) in self.closure
 
     def strictly_above(self, stratum_id: str) -> set[str]:
-        return {b for a, b in self.closure if a == stratum_id}
+        return set(self._above.get(stratum_id, ()))
 
     def strictly_below(self, stratum_id: str) -> set[str]:
-        return {a for a, b in self.closure if b == stratum_id}
+        return set(self._below.get(stratum_id, ()))
 
     def maximal_finite(self) -> list[Stratum]:
         finite_ids = {s.id for s in self.finite_strata}
-        return [
-            s
-            for s in self.finite_strata
-            if not (self.strictly_above(s.id) & finite_ids)
-        ]
+        return [s for s in self.finite_strata if finite_ids.isdisjoint(self._above[s.id])]
 
     def to_json(self) -> dict:
         return {
@@ -151,11 +157,17 @@ class StratificationDiagram:
         lines = ["digraph stratification {"]
         for s in self.strata:
             order = "inf" if s.is_distinguished else s.order
-            lines.append(f'  "{s.id}" [label="{s.id} (order {order}, dim {s.dim})"];')
+            label = _dot_string(f"{s.id} (order {order}, dim {s.dim})")
+            lines.append(f"  {_dot_string(s.id)} [label={label}];")
         for a, b in sorted(hasse_edges(self)):
-            lines.append(f'  "{a}" -> "{b}";')
+            lines.append(f"  {_dot_string(a)} -> {_dot_string(b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _dot_string(text: str) -> str:
+    """A DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def face_table(spec: ActionSpec) -> list[FaceClass]:
@@ -192,18 +204,42 @@ def orbit_strata(spec: ActionSpec) -> StratificationDiagram:
     """
     if spec.m == 0:
         raise EmptyAction("no weighted coordinates to tabulate")
+    counts = Counter(spec.weights)  # work over the distinct weights, not all m
     orders: set[int] = set()
-    for w in spec.weights:
+    for w in counts:
         orders |= {math.gcd(w, d) for d in orders} | {w}
-    strata = [
-        Stratum(f"order:{d}", d, spec.trivial_dim - 1 + 2 * sum(w % d == 0 for w in spec.weights))
-        for d in sorted(orders)
-    ]
+    ids = {d: f"order:{d}" for d in sorted(orders)}
+    pairs = [(e, d) for e, d in combinations(ids, 2) if d % e == 0]  # e < d, e divides d
+    size = Counter(counts)  # size[e] = #{j : e divides w_j}
+    for e, d in pairs:
+        size[e] += counts[d]
+    strata = [Stratum(i, d, spec.trivial_dim - 1 + 2 * size[d]) for d, i in ids.items()]
     strata.append(Stratum(DISTINGUISHED_ID, INFINITE, spec.trivial_dim))
-    closure = {(DISTINGUISHED_ID, f"order:{d}") for d in orders} | {
-        (f"order:{d}", f"order:{e}") for d in orders for e in orders if d != e and d % e == 0
-    }
+    closure = {(DISTINGUISHED_ID, i) for i in ids.values()} | {(ids[d], ids[e]) for e, d in pairs}
     return StratificationDiagram(spec.n, tuple(strata), frozenset(closure))
+
+
+def diagram_difference(a: StratificationDiagram, b: StratificationDiagram) -> str | None:
+    """The first way two diagrams differ as labelled posets, or None.
+
+    Strata are matched by order, since wire ids are arbitrary: ambient_dim,
+    the sorted (order, dim) lists and the sets of closure pairs read as
+    pairs of orders must agree.
+    """
+    if a.ambient_dim != b.ambient_dim:
+        return f"ambient_dim {a.ambient_dim} != {b.ambient_dim}"
+    names = ("stratum (order, dim)", "closure pair of orders")
+    for what, left, right in zip(names, _labels(a), _labels(b)):
+        if left != right:
+            extra = Counter(left) - Counter(right)
+            side, extra = ("first", extra) if extra else ("second", Counter(right) - Counter(left))
+            return f"only the {side} diagram has the {what} {min(extra)}"
+    return None
+
+
+def _labels(d: StratificationDiagram) -> tuple[list, set]:
+    order = {s.id: s.order for s in d.strata}
+    return sorted((s.order, s.dim) for s in d.strata), {(order[x], order[y]) for x, y in d.closure}
 
 
 def depth(diagram: StratificationDiagram, s: Stratum | str) -> int:
@@ -229,9 +265,7 @@ def depth(diagram: StratificationDiagram, s: Stratum | str) -> int:
         if current in memo:
             return memo[current]
         if current in in_progress:
-            raise MalformedDiagram(
-                f"closure relation cycles through stratum {current!r}"
-            )
+            raise MalformedDiagram(f"closure relation cycles through stratum {current!r}")
         in_progress.add(current)
         ups = diagram.strictly_above(current) & finite_ids
         heights = [chase(u) for u in ups]
@@ -245,13 +279,12 @@ def depth(diagram: StratificationDiagram, s: Stratum | str) -> int:
 
 
 def hasse_edges(diagram: StratificationDiagram) -> set[tuple[str, str]]:
-    """Covering pairs (below, above) of the closure order on finite strata."""
+    """Closure pairs (below, above) of finite strata with none strictly between."""
     finite_ids = {s.id for s in diagram.finite_strata}
-    strict = {
-        (a, b) for a, b in diagram.closure if a in finite_ids and b in finite_ids
-    }
+    above, below = diagram._above, diagram._below
     return {
         (a, b)
-        for a, b in strict
-        if not any((a, c) in strict and (c, b) in strict for c in finite_ids)
+        for a in finite_ids
+        for b in above[a] & finite_ids
+        if finite_ids.isdisjoint(above[a] & below[b])
     }

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import sys
 
 import pytest
@@ -319,3 +320,55 @@ def test_verify_high_degree_generators_pass(capsys, weights):
     reports = [json.loads(line) for line in out.splitlines()[:-1]]
     assert [r["failures"] for r in reports] == [0, 0, 0, 0]
     assert out.splitlines()[-1] == "ok"
+
+
+def test_recover_refuses_a_negative_fixed_point_dim(capsys, monkeypatch):
+    diagram = {
+        "ambient_dim": 4,
+        "strata": [{"id": "a", "order": 1, "dim": 3}, {"id": "z", "order": "inf", "dim": -2}],
+        "closure": [["z", "a"]],
+    }
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(diagram)))
+    code, out, err = run_cli(capsys, "recover", "--diagram", "-")
+    assert code == 2
+    assert out == ""
+    assert "MalformedDiagram: distinguished stratum has negative dim -2" in err
+    assert "Traceback" not in err
+
+
+def test_recover_refuses_a_diagram_no_action_produces(capsys, monkeypatch):
+    # counted weights (1, 1, 1, 6, 12) have no order-4 stratum
+    orders_dims = [(1, 10), (4, 2), (6, 4), (12, 2)]
+    diagram = {
+        "ambient_dim": 11,
+        "strata": [{"id": f"s{d}", "order": d, "dim": dim} for d, dim in orders_dims]
+        + [{"id": "z", "order": "inf", "dim": 1}],
+        "closure": [["z", f"s{d}"] for d, _ in orders_dims]
+        + [[f"s{d}", f"s{e}"] for d, _ in orders_dims for e, _ in orders_dims
+           if d != e and d % e == 0],
+    }
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(diagram)))
+    code, out, err = run_cli(capsys, "recover", "--diagram", "-")
+    assert code == 2
+    assert out == ""
+    assert "UncertifiedDiagram" in err
+    assert "Traceback" not in err
+
+
+def test_recover_refuses_orders_missing_a_gcd(capsys, monkeypatch):
+    # orders N/p for the first 24 primes p: their gcd closure has 2^24 orders
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))][:24]
+    n = math.prod(primes)
+    strata = [{"id": "top", "order": 1, "dim": 48}]
+    strata += [{"id": f"s{p}", "order": n // p, "dim": 2} for p in primes]
+    diagram = {
+        "ambient_dim": 49,
+        "strata": strata + [{"id": "z", "order": "inf", "dim": 1}],
+        "closure": [["z", s["id"]] for s in strata] + [[s["id"], "top"] for s in strata[1:]],
+    }
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(diagram)))
+    code, out, err = run_cli(capsys, "recover", "--diagram", "-")
+    assert code == 2
+    assert out == ""
+    assert "UncertifiedDiagram: no stratum has order" in err
+    assert "Traceback" not in err

@@ -1,11 +1,17 @@
+import io
+import json
 import math
 import random
+import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleact import (
+    INFINITE,
     ActionSpec,
     CountMismatch,
     MalformedDiagram,
@@ -14,11 +20,16 @@ from circleact import (
     NotEffective,
     ParityError,
     StratificationDiagram,
+    Stratum,
+    UncertifiedDiagram,
+    canonicalize,
+    diagram_difference,
     infer_dimensions,
     orbit_strata,
     recover_weights,
     roundtrip,
 )
+from circleact.cli import main
 
 
 def diagram_of(weights, trivial_dim=0):
@@ -351,3 +362,222 @@ def test_closure_cycle_rejected():
     )
     with pytest.raises(MalformedDiagram):
         recover_weights(diagram)
+
+
+def test_negative_distinguished_dim_rejected():
+    diagram = abstract(4, [("a", 1, 3), ("z", "inf", -2)], [("z", "a")])
+    with pytest.raises(MalformedDiagram, match="negative dim -2"):
+        infer_dimensions(diagram)
+    with pytest.raises(MalformedDiagram, match="negative dim -2"):
+        recover_weights(diagram)
+
+
+def test_library_built_fractional_order_is_a_malformed_diagram():
+    diagram = StratificationDiagram(
+        4,
+        (Stratum("t", 1, 3), Stratum("a", 2.5, 1), Stratum("z", INFINITE, 0)),
+        frozenset({("a", "t"), ("z", "t"), ("z", "a")}),
+    )
+    with pytest.raises(MalformedDiagram, match="positive integer orders"):
+        recover_weights(diagram)
+
+
+# ---------------------------------------------------------------------------
+# the certificate: accepted iff some action produces the diagram
+# ---------------------------------------------------------------------------
+
+
+def worked_uncertified_diagram():
+    # The one-pass count returns (1, 1, 1, 6, 12), whose own diagram has no
+    # order-4 stratum; the input has no order-2 stratum for gcd(4, 6).
+    orders_dims = [(1, 10), (4, 2), (6, 4), (12, 2)]
+    return abstract(
+        11,
+        [(f"s{d}", d, dim) for d, dim in orders_dims] + [("z", "inf", 1)],
+        [("z", f"s{d}") for d, _ in orders_dims]
+        + [(f"s{d}", f"s{e}") for d, _ in orders_dims for e, _ in orders_dims
+           if d != e and d % e == 0],
+    )
+
+
+def test_worked_uncertified_diagram_is_rejected():
+    with pytest.raises(UncertifiedDiagram, match="no stratum has order 2, the gcd of 4 and 6"):
+        recover_weights(worked_uncertified_diagram())
+
+
+def test_gcd_closed_uncertified_diagram_names_the_difference():
+    # order:2 has codimension 4, so its face has m - 2 = 0 vertices: no weight has order 2
+    diagram = abstract(
+        5,
+        [("order:1", 1, 4), ("order:2", 2, 0), ("z", "inf", 1)],
+        [("order:2", "order:1"), ("z", "order:1"), ("z", "order:2")],
+    )
+    first_only = r"only the first diagram has the stratum \(order, dim\) \(2, 0\)"
+    with pytest.raises(UncertifiedDiagram, match=first_only):
+        recover_weights(diagram)
+
+
+def test_uncertified_is_a_malformed_diagram():
+    assert issubclass(UncertifiedDiagram, MalformedDiagram)
+
+
+def test_stratum_below_a_non_multiple_order_rejected():
+    # order:2 claims to sit below order:3, although 3 does not divide 2
+    diagram = abstract(
+        6,
+        [("order:1", 1, 5), ("order:2", 2, 3), ("order:3", 3, 3), ("z", "inf", 0)],
+        [("order:2", "order:1"), ("order:3", "order:1"), ("order:2", "order:3"),
+         ("z", "order:1"), ("z", "order:2"), ("z", "order:3")],
+    )
+    with pytest.raises(MalformedDiagram, match="'order:2' lies below 'order:3'"):
+        recover_weights(diagram)
+
+
+def prime_quotient_wire(k, t=1):
+    """Orders N/p for the first k primes p (N their product) below an
+    order-1 top: the one-pass count gives each N/p one weight, but those
+    weights' gcd closure has 2^k orders."""
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:k]
+    n = math.prod(primes)
+    top = {"id": "top", "order": 1, "dim": t + 2 * k - 1}
+    strata = [{"id": f"s{p}", "order": n // p, "dim": t + 1} for p in primes]
+    return {
+        "ambient_dim": t + 2 * k,
+        "strata": [top, *strata, {"id": "z", "order": "inf", "dim": t}],
+        "closure": [[s["id"], "top"] for s in strata] + [["z", s["id"]] for s in [top, *strata]],
+    }
+
+
+def test_orders_missing_a_gcd_are_refused_before_the_closure_is_built():
+    diagram = StratificationDiagram.from_json(prime_quotient_wire(24))
+    start = time.perf_counter()
+    with pytest.raises(UncertifiedDiagram, match=r"no stratum has order \d+, the gcd of"):
+        recover_weights(diagram)
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def probe_diagrams(draw):
+    """Random wire diagrams shaped like those of actions: divisibility
+    closure, orders <= 12, at most 4 finite strata, the smallest order as
+    top stratum, the other dims drawn freely."""
+    t = draw(st.integers(0, 2))
+    m = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        orders = {1} | draw(st.sets(st.integers(2, 12), max_size=3))
+    else:
+        orders = draw(st.sets(st.integers(1, 12), min_size=1, max_size=4))
+    orders = sorted(orders)
+    dims = [m] + [draw(st.integers(1, m)) for _ in orders[1:]]
+    return abstract(
+        t + 2 * m,
+        [(f"s{d}", d, t - 1 + 2 * c) for d, c in zip(orders, dims)] + [("z", "inf", t)],
+        [("z", f"s{d}") for d in orders]
+        + [(f"s{d}", f"s{e}") for d in orders for e in orders if d != e and d % e == 0],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(probe_diagrams())
+def test_every_accepted_diagram_is_the_diagram_of_its_answer(diagram):
+    try:
+        weights = recover_weights(diagram)
+    except (MalformedDiagram, NotEffective):
+        return
+    trivial_dim = infer_dimensions(diagram)[1]
+    assert diagram_difference(diagram, orbit_strata(ActionSpec(trivial_dim, weights))) is None
+
+
+canonical_specs = st.builds(
+    lambda raw, t: canonicalize([w // math.gcd(*raw) for w in raw], t),
+    st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_specs, canonical_specs, st.booleans())
+def test_diagrams_agree_iff_the_canonical_specs_are_equal(s1, s2, same):
+    if same:
+        s2 = s1
+    difference = diagram_difference(orbit_strata(s1), orbit_strata(s2))
+    assert (difference is None) == (s1 == s2)
+
+
+def test_diagram_difference_matches_by_order_not_id():
+    genuine = diagram_of((2, 2, 3, 4, 6))
+    renamed = {s.id: f"x{i}" for i, s in enumerate(genuine.strata)}
+    relabelled = StratificationDiagram(
+        genuine.ambient_dim,
+        tuple(Stratum(renamed[s.id], s.order, s.dim) for s in reversed(genuine.strata)),
+        frozenset((renamed[a], renamed[b]) for a, b in genuine.closure),
+    )
+    assert diagram_difference(genuine, relabelled) is None
+    assert diagram_difference(genuine, diagram_of((2, 2, 3, 4, 6), 2)) == "ambient_dim 10 != 12"
+
+
+def test_diagram_difference_names_a_duplicated_order():
+    genuine = diagram_of((1, 2))
+    doubled = StratificationDiagram(
+        genuine.ambient_dim,
+        genuine.strata + (Stratum("again", 2, 1),),
+        genuine.closure,
+    )
+    assert diagram_difference(doubled, genuine) == (
+        "only the first diagram has the stratum (order, dim) (2, 1)"
+    )
+
+
+def test_diagram_difference_names_a_missing_closure_pair():
+    genuine = diagram_of((1, 2))
+    thinned = StratificationDiagram(
+        genuine.ambient_dim, genuine.strata, genuine.closure - {("order:2", "order:1")}
+    )
+    assert diagram_difference(thinned, genuine) == (
+        "only the second diagram has the closure pair of orders (2, 1)"
+    )
+
+
+wire_ids = st.sampled_from(["a", "b", "c", "z"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+wire_diagrams = st.fixed_dictionaries(
+    {
+        "ambient_dim": st.integers(-2, 14) | json_values,
+        "strata": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "id": wire_ids,
+                    "order": st.integers(-1, 13) | st.just("inf") | json_values,
+                    "dim": st.integers(-3, 13) | json_values,
+                }
+            ),
+            max_size=5,
+        ),
+        "closure": st.lists(st.lists(wire_ids, min_size=2, max_size=2) | json_values, max_size=10),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(json_values, wire_diagrams))
+def test_recover_cli_exits_0_or_2_without_traceback_on_any_json(data):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(data))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["recover", "--diagram", "-", "--format", "json"])
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        report = json.loads(out.getvalue())
+        diagram = StratificationDiagram.from_json(data)
+        spec = ActionSpec(report["trivial_dim"], tuple(report["weights"]))
+        assert diagram_difference(diagram, orbit_strata(spec)) is None

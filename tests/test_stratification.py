@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -385,3 +386,116 @@ def test_dot_export_lists_all_nodes_and_cover_edges():
     assert '"order:2" -> "order:1";' in dot
     assert '"order:3" -> "order:1";' in dot
     assert dot.count("->") == 2
+
+
+def test_dot_export_of_orbit_strata_is_pinned():
+    diagram = orbit_strata(ActionSpec(1, (2, 2, 3, 4, 6)))
+    assert diagram.to_dot() == (
+        'digraph stratification {\n'
+        '  "order:1" [label="order:1 (order 1, dim 10)"];\n'
+        '  "order:2" [label="order:2 (order 2, dim 8)"];\n'
+        '  "order:3" [label="order:3 (order 3, dim 4)"];\n'
+        '  "order:4" [label="order:4 (order 4, dim 2)"];\n'
+        '  "order:6" [label="order:6 (order 6, dim 2)"];\n'
+        '  "distinguished" [label="distinguished (order inf, dim 1)"];\n'
+        '  "order:2" -> "order:1";\n'
+        '  "order:3" -> "order:1";\n'
+        '  "order:4" -> "order:2";\n'
+        '  "order:6" -> "order:2";\n'
+        '  "order:6" -> "order:3";\n'
+        '}\n'
+    )
+
+
+def test_dot_export_escapes_quotes_and_backslashes_in_ids():
+    diagram = StratificationDiagram.from_json(
+        {
+            "ambient_dim": 4,
+            "strata": [
+                {"id": 'a"b', "order": 1, "dim": 3},
+                {"id": "c\\d", "order": 2, "dim": 1},
+                {"id": "z", "order": "inf", "dim": 0},
+            ],
+            "closure": [["z", 'a"b'], ["z", "c\\d"], ["c\\d", 'a"b']],
+        }
+    )
+    lines = diagram.to_dot().splitlines()
+    assert lines[1] == '  "a\\"b" [label="a\\"b (order 1, dim 3)"];'
+    assert lines[2] == '  "c\\\\d" [label="c\\\\d (order 2, dim 1)"];'
+    assert lines[4] == '  "c\\\\d" -> "a\\"b";'
+
+
+# ---------------------------------------------------------------------------
+# the closure index
+# ---------------------------------------------------------------------------
+
+
+def scan_above(diagram, stratum_id):
+    return {b for a, b in diagram.closure if a == stratum_id}
+
+
+def scan_below(diagram, stratum_id):
+    return {a for a, b in diagram.closure if b == stratum_id}
+
+
+def scan_maximal_finite(diagram):
+    finite_ids = {s.id for s in diagram.finite_strata}
+    return [s for s in diagram.finite_strata if not (scan_above(diagram, s.id) & finite_ids)]
+
+
+def scan_hasse_edges(diagram):
+    finite_ids = {s.id for s in diagram.finite_strata}
+    strict = {(a, b) for a, b in diagram.closure if a in finite_ids and b in finite_ids}
+    return {
+        (a, b)
+        for a, b in strict
+        if not any((a, c) in strict and (c, b) in strict for c in finite_ids)
+    }
+
+
+INDEX_IDS = ["p", "q", "r", "s", "t", DISTINGUISHED_ID]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sets(st.tuples(st.sampled_from(INDEX_IDS), st.sampled_from(INDEX_IDS)), max_size=20),
+)
+def test_closure_index_agrees_with_closure_scans(finite_count, pairs):
+    # random closures: non-transitive, with self-pairs and pairs on either
+    # side of the distinguished stratum
+    ids = INDEX_IDS[:finite_count] + [DISTINGUISHED_ID]
+    closure = frozenset((a, b) for a, b in pairs if a in ids and b in ids)
+    strata = tuple(Stratum(i, k + 1, 2 * k + 1) for k, i in enumerate(ids[:-1]))
+    diagram = StratificationDiagram(9, strata + (Stratum(DISTINGUISHED_ID, INFINITE, 0),), closure)
+    for i in ids + ["unknown"]:
+        assert diagram.strictly_above(i) == scan_above(diagram, i)
+        assert diagram.strictly_below(i) == scan_below(diagram, i)
+    assert diagram.maximal_finite() == scan_maximal_finite(diagram)
+    assert hasse_edges(diagram) == scan_hasse_edges(diagram)
+
+
+def test_closure_index_cannot_be_changed_through_its_answers():
+    diagram = orbit_strata(ActionSpec(0, (1, 2)))
+    diagram.strictly_below("order:1").add("order:1")
+    diagram.strictly_above("order:2").clear()
+    assert diagram.strictly_below("order:1") == {"order:2", DISTINGUISHED_ID}
+    assert diagram.strictly_above("order:2") == {"order:1"}
+    assert hasse_edges(diagram) == {("order:2", "order:1")}
+
+
+def test_million_weight_diagram_recovers_within_two_seconds():
+    # weights 1..1000, each taken 1,000 times: m = 10^6 and 1,000 strata,
+    # each dim from t + 2 #{j : d | w_j} - 1
+    k = 1000
+    strata = tuple(Stratum(f"s{d}", d, 2 * k * (k // d) - 1) for d in range(1, k + 1))
+    closure = {("z", f"s{d}") for d in range(1, k + 1)}
+    closure |= {(f"s{d}", f"s{e}") for d in range(1, k + 1) for e in range(1, d) if d % e == 0}
+    diagram = StratificationDiagram(
+        2 * k * k, strata + (Stratum("z", INFINITE, 0),), frozenset(closure)
+    )
+    start = time.perf_counter()
+    weights = recover_weights(diagram)
+    elapsed = time.perf_counter() - start
+    assert weights == tuple(w for w in range(1, k + 1) for _ in range(k))
+    assert elapsed < 2.0
