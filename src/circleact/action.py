@@ -62,11 +62,19 @@ class ActionSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "ActionSpec":
-        trivial_dim, weights = data["trivial_dim"], tuple(data["weights"])
-        # bools and floats are not wire integers, as in the diagram JSON
-        if any(type(v) is not int for v in (trivial_dim, *weights)):
-            raise ValueError(f"spec JSON must hold integers, got {data!r}")
-        return cls(trivial_dim, weights)
+        weights = data.get("weights") if isinstance(data, dict) else None
+        if not isinstance(weights, list) or "trivial_dim" not in data:
+            raise ValueError(f"expected a spec {{trivial_dim, weights: [...]}}, got {data!r}")
+        weights = tuple(_wire_int(w, "a weight") for w in weights)
+        return cls(_wire_int(data["trivial_dim"], "trivial_dim"), weights)
+
+
+def _wire_int(value, name: str, error: type[Exception] = ValueError) -> int:
+    """`value` if it is exactly an int, the rule of every JSON reader here:
+    bools, floats and strings are refused, never converted."""
+    if type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def integers(values: Iterable[int], name: str) -> tuple[int, ...]:

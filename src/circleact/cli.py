@@ -23,19 +23,14 @@ def generator_text(g: InvariantGenerator) -> str:
     """Render a generator the way it is usually written: |z1|^2, Re(z1^2 zbar2)."""
     e = g.exponents
     if g.part == PART_ABS2:
-        j = e.holomorphic.index(1) + 1
-        return f"|z{j}|^2"
-    pieces = []
-    for j in range(e.m):
-        if e.holomorphic[j]:
-            pieces.append(f"z{j + 1}" + (f"^{e.holomorphic[j]}" if e.holomorphic[j] > 1 else ""))
-    for j in range(e.m):
-        if e.antiholomorphic[j]:
-            pieces.append(
-                f"zbar{j + 1}" + (f"^{e.antiholomorphic[j]}" if e.antiholomorphic[j] > 1 else "")
-            )
-    wrapper = "Re" if g.part == PART_RE else "Im"
-    return f"{wrapper}({' '.join(pieces)})"
+        return f"|z{e.holomorphic.index(1) + 1}|^2"
+    pieces = [
+        f"{name}{j + 1}" + (f"^{k}" if k > 1 else "")
+        for name, side in (("z", e.holomorphic), ("zbar", e.antiholomorphic))
+        for j, k in enumerate(side)
+        if k
+    ]
+    return f"{'Re' if g.part == PART_RE else 'Im'}({' '.join(pieces)})"
 
 
 def _face_text(indices: frozenset[int]) -> str:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 from operator import attrgetter, ge, itemgetter, sub
 
-from .action import ActionSpec, integers
+from .action import ActionSpec, _wire_int, integers
 from .errors import EmptyAction, LengthMismatch, NotInvariant, TooManyCandidates
 
 PART_ABS2 = "abs2"
@@ -89,7 +89,10 @@ class ExponentVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExponentVector":
-        return cls(tuple(data["k"]), tuple(data["kbar"]))
+        sides = [data.get(key) if isinstance(data, dict) else None for key in ("k", "kbar")]
+        if not all(isinstance(side, list) for side in sides):
+            raise ValueError(f"expected exponents {{k: [...], kbar: [...]}}, got {data!r}")
+        return cls(*(tuple(_wire_int(v, "an exponent") for v in side) for side in sides))
 
 
 def abs2_exponent(m: int, j: int) -> ExponentVector:
@@ -131,7 +134,7 @@ class InvariantGenerator:
 
     @classmethod
     def from_json(cls, data: dict) -> "InvariantGenerator":
-        return cls(ExponentVector.from_json(data), data["part"])
+        return cls(ExponentVector.from_json(data), data.get("part"))
 
 
 # Frozen-slot setters, bound once: a per-object lookup costs most of what _trusted saves.
@@ -435,24 +438,22 @@ def decompose(
         for b in basis:
             _check_length(spec, b)
 
-    target = e.key()
+    # (remaining, start) pairs from which no decomposition exists.
     dead: set[tuple[tuple[int, ...], int]] = set()
-
-    def search(remaining: tuple[int, ...], start: int) -> list[int] | None:
+    # Frames (remaining, start, next index to try); a frame below the top
+    # has taken basis element next - 1 to reach the frame above it.
+    stack = [(e.key(), 0, 0)]
+    while stack:
+        remaining, start, idx = stack.pop()
         if not any(remaining):
-            return []
-        if (remaining, start) in dead:
-            return None
-        for idx in range(start, len(flats)):
+            return Counter(elems[i - 1] for _, _, i in stack)
+        for idx in range(idx, len(flats)):
             b = flats[idx]
             if all(map(ge, remaining, b)):
-                rest = search(tuple(map(sub, remaining, b)), idx)
-                if rest is not None:
-                    return [idx] + rest
-        dead.add((remaining, start))
-        return None
-
-    chosen = search(target, 0)
-    if chosen is None:
-        return None
-    return Counter(elems[i] for i in chosen)
+                rest = tuple(map(sub, remaining, b))
+                if (rest, idx) not in dead:
+                    stack += (remaining, start, idx + 1), (rest, idx, idx)
+                    break
+        else:
+            dead.add((remaining, start))
+    return None

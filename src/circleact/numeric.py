@@ -176,7 +176,10 @@ def _sampled(
 ) -> dict:
     """Run trial_fn(rng, i) for i < trials on one seeded stream; each trial
     returns (err, ok), and the report keeps the largest err and counts the
-    trials that were not ok."""
+    trials that were not ok.  A negative count raises ValueError, as no
+    report could say what ran."""
+    if trials < 0:
+        raise ValueError(f"{name}: trials must be >= 0, got {trials}")
     rng = Random(seed)
     failures = 0
     max_err = 0.0

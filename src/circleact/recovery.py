@@ -121,9 +121,10 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
 def roundtrip(spec: ActionSpec) -> bool:
     """Stratify, serialize to the abstract wire format, recover, compare.
 
-    The serialization step guarantees the recovery side never sees face
-    data.  True iff the recovered weights equal the action's weights as a
-    sorted multiset and the inferred trivial dimension matches.
+    The serialization step checks that the wire format round-trips: the
+    recovery side reads only what the JSON carries.  True iff the recovered
+    weights equal the action's weights as a sorted multiset and the inferred
+    trivial dimension matches.
     """
     diagram = StratificationDiagram.from_json(orbit_strata(spec).to_json())
     recovered = recover_weights(diagram)

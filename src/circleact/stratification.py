@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
-from .action import INFINITE, ActionSpec, gcd_label
+from .action import INFINITE, ActionSpec, _wire_int, gcd_label
 from .errors import (
     DistinguishedStratum,
     EmptyAction,
@@ -26,6 +28,7 @@ from .errors import (
 
 DISTINGUISHED_ID = "distinguished"
 MAX_FACE_TABLE_M = 16  # 65,535 rows; each further coordinate doubles the table
+_diagram_int = partial(_wire_int, error=MalformedDiagram)
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,6 @@ class Stratum:
     @property
     def is_distinguished(self) -> bool:
         return self.order == INFINITE
-
-
-def _wire_int(value, name: str) -> int:
-    if type(value) is not int:  # bools and floats are not wire integers
-        raise MalformedDiagram(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -145,13 +142,13 @@ class StratificationDiagram:
         strata = tuple(
             Stratum(
                 str(e["id"]),
-                INFINITE if e.get("order") == "inf" else _wire_int(e.get("order"), "order"),
-                _wire_int(e.get("dim"), "dim"),
+                INFINITE if e.get("order") == "inf" else _diagram_int(e.get("order"), "order"),
+                _diagram_int(e.get("dim"), "dim"),
             )
             for e in entries
         )
         pairs = frozenset((str(a), str(b)) for a, b in closure)
-        return cls(_wire_int(data.get("ambient_dim"), "ambient_dim"), strata, pairs)
+        return cls(_diagram_int(data.get("ambient_dim"), "ambient_dim"), strata, pairs)
 
     def to_dot(self) -> str:
         lines = ["digraph stratification {"]
@@ -245,37 +242,28 @@ def _labels(d: StratificationDiagram) -> tuple[list, set]:
 def depth(diagram: StratificationDiagram, s: Stratum | str) -> int:
     """Longest strict chain from the stratum up to the top stratum.
 
-    The open dense stratum has depth 0; each step in a chain adds one.
+    The open dense stratum has depth 0; each step in a chain adds one.  The
+    closure among finite strata must be acyclic with one top, else
+    MalformedDiagram.  One topological pass over the closure index costs
+    O(strata + closure pairs), plus a sort that names a cycle the same way
+    on every run.
     """
     stratum_id = s.id if isinstance(s, Stratum) else s
-    stratum = diagram.stratum(stratum_id)
-    if stratum.is_distinguished:
+    if diagram.stratum(stratum_id).is_distinguished:
         raise DistinguishedStratum("depth is defined for finite-order strata only")
-
-    tops = diagram.maximal_finite()
+    finite_ids = {f.id for f in diagram.finite_strata}
+    above = {i: sorted(diagram._above[i] & finite_ids) for i in sorted(finite_ids)}
+    tops = [i for i, ups in above.items() if not ups]
     if len(tops) != 1:
         raise MalformedDiagram(f"expected one top stratum, found {len(tops)}")
-    top_id = tops[0].id
-    finite_ids = {f.id for f in diagram.finite_strata}
-
-    memo: dict[str, int] = {top_id: 0}
-    in_progress: set[str] = set()
-
-    def chase(current: str) -> int:
-        if current in memo:
-            return memo[current]
-        if current in in_progress:
-            raise MalformedDiagram(f"closure relation cycles through stratum {current!r}")
-        in_progress.add(current)
-        ups = diagram.strictly_above(current) & finite_ids
-        heights = [chase(u) for u in ups]
-        in_progress.discard(current)
-        if not heights:
-            raise MalformedDiagram(f"stratum {current!r} has no chain to the top")
-        memo[current] = 1 + max(heights)
-        return memo[current]
-
-    return chase(stratum_id)
+    height: dict[str, int] = {}
+    try:
+        for i in TopologicalSorter(above).static_order():  # strata above come first
+            height[i] = 1 + max((height[u] for u in above[i]), default=-1)
+    except CycleError as exc:
+        cycle = exc.args[1]
+        raise MalformedDiagram(f"closure relation cycles through stratum {cycle[0]!r}") from None
+    return height[stratum_id]
 
 
 def hasse_edges(diagram: StratificationDiagram) -> set[tuple[str, str]]:

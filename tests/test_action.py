@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 from circleact import (
     INFINITE,
     ActionSpec,
+    ExponentVector,
     IndexOutOfRange,
+    InvariantGenerator,
+    MalformedDiagram,
     NotEffective,
+    StratificationDiagram,
     canonicalize,
     gcd_label,
     isotropy_order,
@@ -178,3 +182,60 @@ def test_int_like_input_is_accepted():
     assert spec == ActionSpec(2, (1, 2))
     assert type(spec.trivial_dim) is int and all(type(w) is int for w in spec.weights)
     assert canonicalize([_IntLike(-3), 0, 2]) == ActionSpec(2, (2, 3))
+
+
+_WIRE_DIAGRAM = {
+    "ambient_dim": 3,
+    "strata": [{"id": "a", "order": 1, "dim": 2}, {"id": "d", "order": "inf", "dim": 0}],
+    "closure": [["d", "a"]],
+}
+
+
+@pytest.mark.parametrize(
+    "read, data, error, message",
+    [
+        (ExponentVector.from_json, {"k": [True], "kbar": [1]}, ValueError, "integer, got True"),
+        (ExponentVector.from_json, {"k": [1], "kbar": [1.0]}, ValueError, "integer, got 1.0"),
+        (ExponentVector.from_json, {"k": [1]}, ValueError, "expected exponents"),
+        (ExponentVector.from_json, {"k": 1, "kbar": 1}, ValueError, "expected exponents"),
+        (ExponentVector.from_json, [[1], [1]], ValueError, "expected exponents"),
+        (InvariantGenerator.from_json, {"k": [True], "kbar": [1], "part": "abs2"}, ValueError,
+         "integer, got True"),
+        (InvariantGenerator.from_json, {"k": [1], "kbar": [1]}, ValueError, "unknown part"),
+        (ActionSpec.from_json, {"weights": [1]}, ValueError, "expected a spec"),
+        (ActionSpec.from_json, {"trivial_dim": 0}, ValueError, "expected a spec"),
+        (ActionSpec.from_json, {"trivial_dim": 0, "weights": 1}, ValueError, "expected a spec"),
+        (ActionSpec.from_json, [1], ValueError, "expected a spec"),
+        (ActionSpec.from_json, {"trivial_dim": 0, "weights": [False, 1]}, ValueError,
+         "integer, got False"),
+        (StratificationDiagram.from_json, {**_WIRE_DIAGRAM, "ambient_dim": True},
+         MalformedDiagram, "integer, got True"),
+    ],
+    ids=[
+        "exponent-bool",
+        "exponent-float",
+        "exponent-missing-kbar",
+        "exponent-not-lists",
+        "exponent-not-an-object",
+        "generator-bool",
+        "generator-missing-part",
+        "spec-missing-trivial-dim",
+        "spec-missing-weights",
+        "spec-weights-not-a-list",
+        "spec-not-an-object",
+        "spec-bool-weight",
+        "diagram-bool-ambient-dim",
+    ],
+)
+def test_wire_readers_share_one_exact_integer_rule(read, data, error, message):
+    # JSON true is not the exponent or weight 1, and a missing key or a
+    # wrong container names what was expected rather than raising KeyError
+    # or TypeError.
+    with pytest.raises(error, match=message):
+        read(data)
+
+
+def test_wire_readers_accept_exact_integers():
+    assert ExponentVector.from_json({"k": [2, 0], "kbar": [0, 1]}) == ExponentVector((2, 0), (0, 1))
+    assert ActionSpec.from_json({"trivial_dim": 1, "weights": [1, 2]}) == ActionSpec(1, (1, 2))
+    assert StratificationDiagram.from_json(_WIRE_DIAGRAM).ambient_dim == 3

@@ -1,7 +1,9 @@
 import copy
 import math
 import pickle
+import sys
 import time
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from itertools import product
 
@@ -519,6 +521,65 @@ def test_decompose_checks_basis_length_on_every_call():
     assert decompose(ActionSpec(0, (1, 2)), ExponentVector((2, 0), (0, 1)), basis) is not None
     with pytest.raises(LengthMismatch):
         decompose(ActionSpec(0, (1, 1, 1)), ExponentVector((1, 0, 0), (0, 1, 0)), basis)
+
+
+def test_decompose_does_not_recurse_per_part():
+    # 5,000 parts of |z1|^2 under a recursion limit of 120: the search keeps
+    # its frames on an explicit stack, not on the interpreter's.
+    spec = ActionSpec(0, (1, 2))
+    basis = hilbert_basis(spec)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        result = decompose(spec, ExponentVector((5000, 0), (5000, 0)), basis)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == {abs2_exponent(2, 1): 5000}
+
+
+def first_decomposition(basis, target):
+    """The first decomposition a plain recursive search finds, trying the
+    elements by decreasing degree, then by exponent tuple, and never an
+    element before the one last taken; None if there is none."""
+    elems = sorted(basis, key=lambda b: (-b.degree, b.key()))
+
+    def search(remaining, start):
+        if not any(remaining):
+            return []
+        for i in range(start, len(elems)):
+            b = elems[i].key()
+            if all(r >= x for r, x in zip(remaining, b)):
+                rest = search(tuple(r - x for r, x in zip(remaining, b)), i)
+                if rest is not None:
+                    return [elems[i]] + rest
+        return None
+
+    found = search(target.key(), 0)
+    return None if found is None else Counter(found)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3), (1, 1, 2)])
+def test_decompose_returns_the_first_decomposition_in_search_order(weights):
+    # The walk must pick the same decomposition as the recursive search and
+    # fail where it fails: on the full basis, on the basis without |z1|^2
+    # (where the search backs out of dead ends and then succeeds), and on
+    # the |z_j|^2 alone (where most targets have no decomposition).
+    spec = ActionSpec(0, weights)
+    basis = hilbert_basis(spec)
+    without_abs2_1 = basis - {abs2_exponent(spec.m, 1)}
+    moduli = frozenset(e for e in basis if e.holomorphic == e.antiholomorphic)
+    for subset in (basis, without_abs2_1, moduli):
+        for e in invariant_vectors_up_to(weights, 8):
+            assert decompose(spec, e, subset) == first_decomposition(subset, e), e
+
+
+def test_decompose_backs_out_of_a_dead_end():
+    # Without |z1|^2, |z1|^2 |z2|^2 over (1, 1) first takes |z2|^2, is left
+    # with |z1|^2, backs out, and succeeds as (z2 zbar1) (z1 zbar2).
+    spec = ActionSpec(0, (1, 1))
+    basis = hilbert_basis(spec) - {abs2_exponent(2, 1)}
+    result = decompose(spec, ExponentVector((1, 1), (1, 1)), basis)
+    assert result == {ExponentVector((0, 1), (1, 0)): 1, ExponentVector((1, 0), (0, 1)): 1}
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 1), (1, 2), (2, 3), (1, 2, 3)])

@@ -320,6 +320,21 @@ def test_sampled_membership():
     assert rep["failures"] == 0, rep
 
 
+@pytest.mark.parametrize(
+    "check", [check_invariance, check_homogeneity, check_separation, check_membership]
+)
+def test_sampled_checks_refuse_a_negative_trial_count(check):
+    # A report of -1 trials and 0 failures would read as a check that ran.
+    spec = ActionSpec(0, (1, 2))
+    with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
+        check(spec, generators_for((1, 2)), -1)
+
+
+def test_property_suite_refuses_a_negative_trial_count():
+    with pytest.raises(ValueError, match="trials must be >= 0, got -1"):
+        run_property_suite(ActionSpec(0, (1, 2)), -1)
+
+
 def test_property_suite_reports_are_reproducible():
     spec = ActionSpec(0, (2, 3))
     first = run_property_suite(spec, trials=50, seed=21)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 from itertools import combinations
 
@@ -337,6 +338,52 @@ def test_depth_rejects_a_closure_cycle():
     )
     with pytest.raises(MalformedDiagram, match="cycles through stratum 'a'"):
         depth(diagram, "a")
+
+
+def test_depth_refuses_a_cycle_off_the_queried_chain():
+    # c and e cycle below the top t; a's only chain, a < t, never meets them,
+    # but a cycle anywhere in the finite closure makes the diagram malformed.
+    diagram = StratificationDiagram.from_json(
+        {
+            "ambient_dim": 6,
+            "strata": [
+                {"id": "t", "order": 1, "dim": 5},
+                {"id": "a", "order": 2, "dim": 3},
+                {"id": "c", "order": 3, "dim": 1},
+                {"id": "e", "order": 5, "dim": 1},
+                {"id": "d", "order": "inf", "dim": 0},
+            ],
+            "closure": [
+                ["a", "t"], ["c", "t"], ["e", "t"], ["c", "e"], ["e", "c"],
+                ["d", "t"], ["d", "a"], ["d", "c"], ["d", "e"],
+            ],
+        }
+    )
+    with pytest.raises(MalformedDiagram, match="cycles through stratum 'c'"):
+        depth(diagram, "a")
+
+
+def chain_diagram(n):
+    """Strata s0..s(n-1) with closure pairs (s_i, s_(i-1)) only, no
+    transitive pairs, and the distinguished stratum below all: s0 is the
+    top and s_i has depth i."""
+    strata = [Stratum(f"s{i}", i + 1, 2 * (n - i)) for i in range(n)]
+    strata.append(Stratum(DISTINGUISHED_ID, INFINITE, 0))
+    closure = {(f"s{i}", f"s{i - 1}") for i in range(1, n)}
+    closure |= {(DISTINGUISHED_ID, f"s{i}") for i in range(n)}
+    return StratificationDiagram(2 * n + 1, tuple(strata), frozenset(closure))
+
+
+@pytest.mark.parametrize("n", [1200, 20000])
+def test_depth_walks_a_long_chain_without_recursing(n):
+    diagram = chain_diagram(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        assert depth(diagram, f"s{n - 1}") == n - 1
+        assert depth(diagram, "s0") == 0
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_deeper_chains_through_divisor_towers():
