@@ -43,11 +43,9 @@ class ActionSpec:
             raise ValueError(f"trivial_dim must be >= 0, got {self.trivial_dim}")
         if any(w < 1 for w in self.weights):
             raise ValueError(f"weights must be positive integers, got {self.weights}")
-        if self.weights and math.gcd(*self.weights) != 1:
-            raise NotEffective(
-                f"weights {list(self.weights)} have gcd "
-                f"{math.gcd(*self.weights)} > 1"
-            )
+        shared = math.gcd(*self.weights)  # 0 for no weights
+        if shared > 1:
+            raise NotEffective(f"weights {list(self.weights)} have gcd {shared} > 1")
 
     @property
     def m(self) -> int:
@@ -102,31 +100,27 @@ def canonicalize(raw_weights: Iterable[int], trivial_dim: int = 0) -> ActionSpec
     return ActionSpec(folded, tuple(sorted(abs(w) for w in raw if w != 0)))
 
 
-def _checked_indices(spec: ActionSpec, indices: Iterable[int]) -> frozenset[int]:
-    idx = frozenset(integers(indices, "indices"))
-    bad = [i for i in idx if not 1 <= i <= spec.m]
-    if bad:
-        raise IndexOutOfRange(f"indices {sorted(bad)} outside 1..{spec.m}")
-    return idx
-
-
 def gcd_label(spec: ActionSpec, face: Iterable[int]) -> int:
     """gcd of the weights indexed by `face` (a non-empty subset of 1..m).
 
     This is the integer label the face carries on the weight simplex, and
     the order of the stabilizer of any point supported exactly there.
     """
-    idx = _checked_indices(spec, face)
-    if not idx:
+    order = isotropy_order(spec, face)
+    if order == INFINITE:
         raise ValueError("face must be a non-empty index set")
-    return math.gcd(*(spec.weights[i - 1] for i in idx))
+    return order
 
 
 def isotropy_order(spec: ActionSpec, support: Iterable[int]) -> int | float:
     """Order of the stabilizer of a point with the given coordinate support.
 
     Empty support is the origin, fixed by the whole circle: returns
-    :data:`INFINITE`.  Otherwise the gcd of the supported weights.
+    :data:`INFINITE`.  Otherwise the gcd of the supported weights.  Raises
+    IndexOutOfRange for an index outside 1..m.
     """
-    idx = _checked_indices(spec, support)
-    return gcd_label(spec, idx) if idx else INFINITE
+    idx = frozenset(integers(support, "indices"))
+    bad = [i for i in idx if not 1 <= i <= spec.m]
+    if bad:
+        raise IndexOutOfRange(f"indices {sorted(bad)} outside 1..{spec.m}")
+    return math.gcd(*(spec.weights[i - 1] for i in idx)) if idx else INFINITE

@@ -15,7 +15,7 @@ from .action import ActionSpec, canonicalize
 from .errors import CircleActionError, MalformedDiagram, TooManyFaces
 from .invariants import PART_ABS2, PART_RE, InvariantGenerator, hilbert_basis, realize_generators
 from .numeric import run_property_suite
-from .recovery import infer_dimensions, recover_weights, roundtrip
+from .recovery import recover_weights, roundtrip
 from .stratification import StratificationDiagram, face_table, hasse_edges, orbit_strata
 
 
@@ -93,7 +93,9 @@ def _cmd_stratify(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     diagram = _read_diagram(args)
     weights = recover_weights(diagram)
-    n, trivial_dim, m = infer_dimensions(diagram)
+    # recover_weights certified that ambient_dim = trivial_dim + 2m.
+    n, m = diagram.ambient_dim, len(weights)
+    trivial_dim = n - 2 * m
     report = {"weights": list(weights), "trivial_dim": trivial_dim, "m": m, "n": n}
     if args.format == "json":
         print(json.dumps(report))
@@ -156,7 +158,9 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"--weights expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _checked(parse, accept, requirement: str):
@@ -238,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (CircleActionError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (CircleActionError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -429,10 +429,16 @@ def decompose(
     exists.  Returns a Counter mapping basis elements to multiplicities
     (empty for the zero vector).  Raises :class:`NotInvariant` if `e` fails
     the invariance criterion.
+
+    The `dead` memo bounds the work when no basis element is zero: the
+    search fails at most once from each (remaining, start) pair, where
+    remaining <= e componentwise and start indexes the basis, so there are
+    at most |basis| * prod_j (k_j + 1)(kbar_j + 1) such pairs, and each
+    scans the basis once.
     """
-    _check_length(spec, e)
-    if circle_weight(spec, e) != 0:
-        raise NotInvariant(f"rotation weight {circle_weight(spec, e)} != 0")
+    rotation = circle_weight(spec, e)  # checks e's length
+    if rotation != 0:
+        raise NotInvariant(f"rotation weight {rotation} != 0")
     lengths, elems, flats = _search_order(frozenset(basis))
     if lengths - {spec.m}:
         for b in basis:

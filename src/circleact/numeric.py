@@ -129,14 +129,15 @@ def check_axes_image(
     generators: Sequence[InvariantGenerator],
     j: int,
     r: float,
-    tol: float = 1e-12,
 ) -> bool:
     """Check that the j-th coordinate axis maps onto its own image axis.
 
     Evaluates the map at z_j = r (all other coordinates zero) and requires
-    the only nonzero image entry, within tol, to be the |z_j|^2 slot with
-    value r^2.  The generator list must put the |z_i|^2 generators first.
+    the only nonzero image entry, within 1e-12 (relative to 1 + r^2 for the
+    slot), to be the |z_j|^2 slot with value r^2.  The generator list must
+    put the |z_i|^2 generators first.
     """
+    tol = 1e-12
     if not 1 <= j <= spec.m:
         raise IndexOutOfRange(f"index {j} outside 1..{spec.m}")
     if r <= 0:
@@ -253,8 +254,6 @@ def check_separation(
     generators: Sequence[InvariantGenerator],
     trials: int = 200,
     seed: int = 0,
-    image_tol: float = 1e-12,
-    orbit_tol: float = 1e-6,
 ) -> dict:
     """Points with (numerically) equal images must lie on one orbit.
 
@@ -266,8 +265,11 @@ def check_separation(
     has magnitude at least sqrt(image_tol) and the images of distinct
     orbits differ far above image_tol.  A trial fails when the images agree
     within image_tol but `same_orbit` puts the points on different orbits;
-    max_err is the largest such image gap.
+    max_err is the largest such image gap.  The tolerances are fixed:
+    image_tol = 1e-12 on the max-norm image gap and 1e-6 for `same_orbit`,
+    whatever tolerance the other checks of the suite use.
     """
+    image_tol, orbit_tol = 1e-12, 1e-6
     low = image_tol ** (0.5 / max((g.degree for g in generators), default=1))
 
     def trial(rng: Random, i: int) -> tuple[float, bool]:

@@ -123,10 +123,10 @@ def roundtrip(spec: ActionSpec) -> bool:
 
     The serialization step checks that the wire format round-trips: the
     recovery side reads only what the JSON carries.  True iff the recovered
-    weights equal the action's weights as a sorted multiset and the inferred
-    trivial dimension matches.
+    weights equal the action's weights as a sorted multiset and the trivial
+    dimension n - 2m of the certified diagram matches.
     """
     diagram = StratificationDiagram.from_json(orbit_strata(spec).to_json())
     recovered = recover_weights(diagram)
-    _, trivial_dim, _ = infer_dimensions(diagram)
+    trivial_dim = diagram.ambient_dim - 2 * len(recovered)
     return recovered == tuple(sorted(spec.weights)) and trivial_dim == spec.trivial_dim

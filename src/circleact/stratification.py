@@ -110,8 +110,9 @@ class StratificationDiagram:
         return set(self._below.get(stratum_id, ()))
 
     def maximal_finite(self) -> list[Stratum]:
-        finite_ids = {s.id for s in self.finite_strata}
-        return [s for s in self.finite_strata if finite_ids.isdisjoint(self._above[s.id])]
+        finite = self.finite_strata
+        finite_ids = {s.id for s in finite}
+        return [s for s in finite if finite_ids.isdisjoint(self._above[s.id])]
 
     def to_json(self) -> dict:
         return {
@@ -251,11 +252,11 @@ def depth(diagram: StratificationDiagram, s: Stratum | str) -> int:
     stratum_id = s.id if isinstance(s, Stratum) else s
     if diagram.stratum(stratum_id).is_distinguished:
         raise DistinguishedStratum("depth is defined for finite-order strata only")
+    tops = diagram.maximal_finite()
+    if len(tops) != 1:
+        raise MalformedDiagram(f"expected exactly one top stratum, found {len(tops)}")
     finite_ids = {f.id for f in diagram.finite_strata}
     above = {i: sorted(diagram._above[i] & finite_ids) for i in sorted(finite_ids)}
-    tops = [i for i, ups in above.items() if not ups]
-    if len(tops) != 1:
-        raise MalformedDiagram(f"expected one top stratum, found {len(tops)}")
     height: dict[str, int] = {}
     try:
         for i in TopologicalSorter(above).static_order():  # strata above come first

@@ -2,8 +2,12 @@ import io
 import json
 import math
 import sys
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleact.cli import main
 
@@ -59,6 +63,35 @@ def test_stratify_json_and_recover_roundtrip(capsys, tmp_path):
         "m": 5,
         "n": 10,
     }
+
+
+def run_piped(argv, stdin_text=""):
+    out = io.StringIO()
+    with redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(stdin_text)):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=6), st.integers(0, 4))
+def test_recover_reports_the_piped_action_at_every_trivial_dim(raw, t):
+    weights = [w // math.gcd(*raw) for w in raw]
+    argv = ["stratify", "--weights", ",".join(map(str, weights)), "--trivial-dim", str(t)]
+    code, diagram = run_piped(argv + ["--format", "json"])
+    assert code == 0
+    code, out = run_piped(["recover", "--diagram", "-", "--format", "json"], diagram)
+    assert code == 0
+    m = len(weights)
+    report = {"weights": sorted(weights), "trivial_dim": t, "m": m, "n": t + 2 * m}
+    assert out == json.dumps(report) + "\n"
+
+
+def test_recover_text_report():
+    argv = ["stratify", "--weights", "1,2", "--trivial-dim", "3", "--format", "json"]
+    _, diagram = run_piped(argv)
+    code, out = run_piped(["recover", "--diagram", "-"], diagram)
+    assert code == 0
+    assert out.splitlines() == ["weights: [1, 2]", "trivial_dim: 3", "m: 2", "n: 7"]
 
 
 def test_recover_reads_stdin(capsys, monkeypatch):
@@ -145,6 +178,16 @@ def test_bad_weights_exit_code(capsys):
 def test_unparseable_weights_exit_code(capsys):
     code, _, err = run_cli(capsys, "invariants", "--weights", "1,banana")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["1,x", ""])
+@pytest.mark.parametrize("command", ["invariants", "stratify", "roundtrip", "verify"])
+def test_unparseable_weights_name_the_expected_format(capsys, command, text):
+    code, out, err = run_cli(capsys, command, "--weights", text)
+    assert code == 2
+    assert out == ""
+    assert f"argument --weights: expects comma-separated integers, got {text!r}" in err
+    assert "_parse_weights" not in err
 
 
 def test_missing_diagram_file_exit_code(capsys):
