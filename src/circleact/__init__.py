@@ -1,13 +1,11 @@
 """Effective linear circle actions: invariant generators, orbit-type
 stratification, and recovery of the weights from the abstract diagram."""
 
-from .action import INFINITE, ActionSpec, canonicalize, gcd_label, isotropy_order
+from .action import INFINITE, ActionSpec, canonicalize
 from .errors import (
     CircleActionError,
     CountMismatch,
-    DistinguishedStratum,
     EmptyAction,
-    IndexOutOfRange,
     LengthMismatch,
     MalformedDiagram,
     NegativeMultiplicity,
@@ -36,7 +34,6 @@ from .invariants import (
     realize_generators,
 )
 from .numeric import (
-    check_axes_image,
     check_homogeneity,
     check_invariance,
     check_m2_membership,
@@ -53,7 +50,6 @@ from .stratification import (
     FaceClass,
     StratificationDiagram,
     Stratum,
-    depth,
     diagram_difference,
     face_table,
     hasse_edges,

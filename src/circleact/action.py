@@ -1,4 +1,4 @@
-"""Normal form of an effective linear circle action and its gcd arithmetic.
+"""Normal form of an effective linear circle action.
 
 A linear circle action on R^n splits, after an equivariant change of
 coordinates, into a factor on which the circle acts trivially and m complex
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterable
 
-from .errors import IndexOutOfRange, NotEffective
+from .errors import NotEffective
 
 INFINITE = math.inf
 
@@ -58,22 +58,6 @@ class ActionSpec:
     def to_json(self) -> dict:
         return {"trivial_dim": self.trivial_dim, "weights": list(self.weights)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ActionSpec":
-        weights = data.get("weights") if isinstance(data, dict) else None
-        if not isinstance(weights, list) or "trivial_dim" not in data:
-            raise ValueError(f"expected a spec {{trivial_dim, weights: [...]}}, got {data!r}")
-        weights = tuple(_wire_int(w, "a weight") for w in weights)
-        return cls(_wire_int(data["trivial_dim"], "trivial_dim"), weights)
-
-
-def _wire_int(value, name: str, error: type[Exception] = ValueError) -> int:
-    """`value` if it is exactly an int, the rule of every JSON reader here:
-    bools, floats and strings are refused, never converted."""
-    if type(value) is not int:
-        raise error(f"{name} must be an integer, got {value!r}")
-    return value
-
 
 def integers(values: Iterable[int], name: str) -> tuple[int, ...]:
     """The values as ints, by ``operator.index``, so that an int-like value
@@ -98,29 +82,3 @@ def canonicalize(raw_weights: Iterable[int], trivial_dim: int = 0) -> ActionSpec
     raw = integers(raw_weights, "weights")
     folded = trivial_dim + 2 * sum(1 for w in raw if w == 0)
     return ActionSpec(folded, tuple(sorted(abs(w) for w in raw if w != 0)))
-
-
-def gcd_label(spec: ActionSpec, face: Iterable[int]) -> int:
-    """gcd of the weights indexed by `face` (a non-empty subset of 1..m).
-
-    This is the integer label the face carries on the weight simplex, and
-    the order of the stabilizer of any point supported exactly there.
-    """
-    order = isotropy_order(spec, face)
-    if order == INFINITE:
-        raise ValueError("face must be a non-empty index set")
-    return order
-
-
-def isotropy_order(spec: ActionSpec, support: Iterable[int]) -> int | float:
-    """Order of the stabilizer of a point with the given coordinate support.
-
-    Empty support is the origin, fixed by the whole circle: returns
-    :data:`INFINITE`.  Otherwise the gcd of the supported weights.  Raises
-    IndexOutOfRange for an index outside 1..m.
-    """
-    idx = frozenset(integers(support, "indices"))
-    bad = [i for i in idx if not 1 <= i <= spec.m]
-    if bad:
-        raise IndexOutOfRange(f"indices {sorted(bad)} outside 1..{spec.m}")
-    return math.gcd(*(spec.weights[i - 1] for i in idx)) if idx else INFINITE

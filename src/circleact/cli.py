@@ -15,7 +15,7 @@ from .action import ActionSpec, canonicalize
 from .errors import CircleActionError, MalformedDiagram, TooManyFaces
 from .invariants import PART_ABS2, PART_RE, InvariantGenerator, hilbert_basis, realize_generators
 from .numeric import run_property_suite
-from .recovery import recover_weights, roundtrip
+from .recovery import MAX_RECOVERED_WEIGHTS, recover_weights, roundtrip
 from .stratification import StratificationDiagram, face_table, hasse_edges, orbit_strata
 
 
@@ -181,6 +181,11 @@ def _checked(parse, accept, requirement: str):
 
 _trials = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v > 0, "> 0")
+_max_m = _checked(
+    _positive_int,
+    lambda v: v <= MAX_RECOVERED_WEIGHTS,
+    f"<= {MAX_RECOVERED_WEIGHTS} (the recovery bound)",
+)
 _tolerance = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-weight", type=_positive_int, default=30, help="campaign weight bound (default 30)"
     )
     p.add_argument(
-        "--max-m", type=_positive_int, default=6, help="campaign coordinate bound (default 6)"
+        "--max-m", type=_max_m, default=6, help="campaign coordinate bound (default 6)"
     )
 
     p = add("verify", _cmd_verify, "run the sampled numeric property suite")

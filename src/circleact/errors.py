@@ -13,10 +13,6 @@ class NotCoprime(CircleActionError):
     """A pair of weights that must be coprime is not."""
 
 
-class IndexOutOfRange(CircleActionError):
-    """A coordinate index lies outside 1..m."""
-
-
 class LengthMismatch(CircleActionError):
     """An exponent vector or point has the wrong number of coordinates."""
 
@@ -46,11 +42,6 @@ class NotInvariant(CircleActionError):
 
 class UnknownStratum(CircleActionError):
     """A stratum id that does not belong to the diagram."""
-
-
-class DistinguishedStratum(CircleActionError):
-    """The fixed-point stratum was passed where a finite-order stratum is
-    required."""
 
 
 class MalformedDiagram(CircleActionError):

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 from operator import attrgetter, ge, itemgetter, sub
 
-from .action import ActionSpec, _wire_int, integers
+from .action import ActionSpec, integers
 from .errors import EmptyAction, LengthMismatch, NotInvariant, TooManyCandidates
 
 PART_ABS2 = "abs2"
@@ -71,32 +71,17 @@ class ExponentVector:
         """Concatenated exponent tuple; the canonical sort key."""
         return self.holomorphic + self.antiholomorphic
 
-    def __add__(self, other: "ExponentVector") -> "ExponentVector":
-        return ExponentVector(
-            tuple(a + b for a, b in zip(self.holomorphic, other.holomorphic)),
-            tuple(a + b for a, b in zip(self.antiholomorphic, other.antiholomorphic)),
-        )
-
     def dominates(self, other: "ExponentVector") -> bool:
         """Componentwise >=."""
         return all(a >= b for a, b in zip(self.key(), other.key()))
 
-    def is_zero(self) -> bool:
-        return not any(self.key())
-
     def to_json(self) -> dict:
         return {"k": list(self.holomorphic), "kbar": list(self.antiholomorphic)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ExponentVector":
-        sides = [data.get(key) if isinstance(data, dict) else None for key in ("k", "kbar")]
-        if not all(isinstance(side, list) for side in sides):
-            raise ValueError(f"expected exponents {{k: [...], kbar: [...]}}, got {data!r}")
-        return cls(*(tuple(_wire_int(v, "an exponent") for v in side) for side in sides))
-
 
 def abs2_exponent(m: int, j: int) -> ExponentVector:
-    """Exponent vector of |z_j|^2 (1-based j) in m complex coordinates."""
+    """Exponent vector of |z_j|^2 (1-based j) in m complex coordinates;
+    acceptance criterion 6 finds each one in the basis."""
     unit = tuple(1 if i == j - 1 else 0 for i in range(m))
     return ExponentVector(unit, unit)
 
@@ -132,10 +117,6 @@ class InvariantGenerator:
         data["part"] = self.part
         return data
 
-    @classmethod
-    def from_json(cls, data: dict) -> "InvariantGenerator":
-        return cls(ExponentVector.from_json(data), data.get("part"))
-
 
 # Frozen-slot setters, bound once: a per-object lookup costs most of what _trusted saves.
 _set_k, _set_kbar = ExponentVector.holomorphic.__set__, ExponentVector.antiholomorphic.__set__
@@ -157,7 +138,8 @@ def circle_weight(spec: ActionSpec, e: ExponentVector) -> int:
 
 
 def is_invariant_exponent(spec: ActionSpec, e: ExponentVector) -> bool:
-    """True iff the monomial with these exponents is circle-invariant."""
+    """True iff the monomial with these exponents is circle-invariant;
+    acceptance criterion 6 checks every basis element with it."""
     return circle_weight(spec, e) == 0
 
 
@@ -410,11 +392,11 @@ def realize_generators(basis: frozenset[ExponentVector]) -> list[InvariantGenera
 @lru_cache(maxsize=8)
 def _search_order(basis: frozenset[ExponentVector]):
     """What decompose needs of a basis, computed once per basis: the set of
-    coordinate counts of its elements, the elements by decreasing degree,
-    and their concatenated exponent tuples.
+    coordinate counts of its elements, the nonzero elements by decreasing
+    degree, and their concatenated exponent tuples.
     """
     lengths = frozenset(b.m for b in basis)
-    elems = tuple(sorted(basis, key=lambda b: (-b.degree, b.key())))
+    elems = tuple(sorted((b for b in basis if b.degree), key=lambda b: (-b.degree, b.key())))
     return lengths, elems, tuple(b.key() for b in elems)
 
 
@@ -428,13 +410,15 @@ def decompose(
     Exhaustive depth-first search, so a None result means no decomposition
     exists.  Returns a Counter mapping basis elements to multiplicities
     (empty for the zero vector).  Raises :class:`NotInvariant` if `e` fails
-    the invariance criterion.
+    the invariance criterion.  Acceptance criterion 6 decomposes every
+    invariant vector of small degree with it.
 
-    The `dead` memo bounds the work when no basis element is zero: the
-    search fails at most once from each (remaining, start) pair, where
-    remaining <= e componentwise and start indexes the basis, so there are
-    at most |basis| * prod_j (k_j + 1)(kbar_j + 1) such pairs, and each
-    scans the basis once.
+    A zero basis element never changes what remains, so the search leaves
+    it out.  The `dead` memo bounds the work: the search fails at most once
+    from each (remaining, start) pair, where remaining <= e componentwise
+    and start indexes the basis, so there are at most
+    |basis| * prod_j (k_j + 1)(kbar_j + 1) such pairs, and each scans the
+    basis once.
     """
     rotation = circle_weight(spec, e)  # checks e's length
     if rotation != 0:

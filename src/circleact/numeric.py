@@ -16,7 +16,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from .action import ActionSpec
-from .errors import IndexOutOfRange, LengthMismatch, NotCoprime
+from .errors import LengthMismatch, NotCoprime
 from .invariants import (
     PART_IM,
     InvariantGenerator,
@@ -124,36 +124,6 @@ def check_m2_membership(
     return abs(y3 * y3 + y4 * y4 - rhs) <= tol * scale
 
 
-def check_axes_image(
-    spec: ActionSpec,
-    generators: Sequence[InvariantGenerator],
-    j: int,
-    r: float,
-) -> bool:
-    """Check that the j-th coordinate axis maps onto its own image axis.
-
-    Evaluates the map at z_j = r (all other coordinates zero) and requires
-    the only nonzero image entry, within 1e-12 (relative to 1 + r^2 for the
-    slot), to be the |z_j|^2 slot with value r^2.  The generator list must
-    put the |z_i|^2 generators first.
-    """
-    tol = 1e-12
-    if not 1 <= j <= spec.m:
-        raise IndexOutOfRange(f"index {j} outside 1..{spec.m}")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    point = tuple(complex(r) if i == j - 1 else 0j for i in range(spec.m))
-    image = evaluate_hilbert_map(generators, point)
-    slot = j - 1
-    for i, v in enumerate(image):
-        if i == slot:
-            if abs(v - r * r) > tol * (1 + r * r):
-                return False
-        elif abs(v) > tol:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Seeded property checks.  Each returns a report dict suitable for JSON-lines
 # output: {"check", "seed", "trials", "failures", "max_err"}.
@@ -227,9 +197,11 @@ def check_homogeneity(
 ) -> dict:
     """Each generator scales as t^degree under p -> t*p.
 
-    t is uniform in [1e-3, 4) ** (16 / D) with D = max(16, top generator
-    degree), so t^degree stays within [1e-48, 4^16] and never overflows;
-    up to degree 16 that is [1e-3, 4).
+    Every monomial is homogeneous of its degree, so no generator list can
+    fail this check; the defect it catches is an evaluator that drops
+    exponents.  t is uniform in [1e-3, 4) ** (16 / D) with D = max(16, top
+    generator degree), so t^degree stays within [1e-48, 4^16] and never
+    overflows; up to degree 16 that is [1e-3, 4).
     """
     degrees = [g.degree for g in generators]
     span = 16 / max(16, max(degrees, default=1))

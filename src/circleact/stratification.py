@@ -13,22 +13,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
-from .action import INFINITE, ActionSpec, _wire_int, gcd_label
-from .errors import (
-    DistinguishedStratum,
-    EmptyAction,
-    MalformedDiagram,
-    TooManyFaces,
-    UnknownStratum,
-)
+from .action import INFINITE, ActionSpec
+from .errors import EmptyAction, MalformedDiagram, TooManyFaces, UnknownStratum
 
 DISTINGUISHED_ID = "distinguished"
 MAX_FACE_TABLE_M = 16  # 65,535 rows; each further coordinate doubles the table
-_diagram_int = partial(_wire_int, error=MalformedDiagram)
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,7 @@ class StratificationDiagram:
     the reflexive hull.  The wire format deliberately omits face data so
     that consumers of the JSON see only abstract strata.  The closure is
     indexed once, into the ids strictly above and strictly below each
-    stratum; the accessors hand out copies.
+    stratum; `strictly_below` hands out a copy.
     """
 
     ambient_dim: int
@@ -98,13 +89,6 @@ class StratificationDiagram:
     def distinguished(self) -> Stratum | None:
         hits = [s for s in self.strata if s.is_distinguished]
         return hits[0] if len(hits) == 1 else None
-
-    def precedes(self, below: str, above: str) -> bool:
-        """The partial order: equality or a strict closure pair."""
-        return below == above or (below, above) in self.closure
-
-    def strictly_above(self, stratum_id: str) -> set[str]:
-        return set(self._above.get(stratum_id, ()))
 
     def strictly_below(self, stratum_id: str) -> set[str]:
         return set(self._below.get(stratum_id, ()))
@@ -163,6 +147,14 @@ class StratificationDiagram:
         return "\n".join(lines) + "\n"
 
 
+def _diagram_int(value, name: str) -> int:
+    """`value` if it is exactly an int: the wire format's bools, floats and
+    strings are refused with MalformedDiagram, never converted."""
+    if type(value) is not int:
+        raise MalformedDiagram(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _dot_string(text: str) -> str:
     """A DOT quoted string: backslashes and double quotes escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -181,13 +173,8 @@ def face_table(spec: ActionSpec) -> list[FaceClass]:
     rows = []
     for size in range(spec.m, 0, -1):
         for combo in combinations(range(1, spec.m + 1), size):
-            rows.append(
-                FaceClass(
-                    indices=frozenset(combo),
-                    stabilizer_order=gcd_label(spec, combo),
-                    codim=2 * (spec.m - size),
-                )
-            )
+            order = math.gcd(*(spec.weights[i - 1] for i in combo))
+            rows.append(FaceClass(frozenset(combo), order, 2 * (spec.m - size)))
     return rows
 
 
@@ -238,33 +225,6 @@ def diagram_difference(a: StratificationDiagram, b: StratificationDiagram) -> st
 def _labels(d: StratificationDiagram) -> tuple[list, set]:
     order = {s.id: s.order for s in d.strata}
     return sorted((s.order, s.dim) for s in d.strata), {(order[x], order[y]) for x, y in d.closure}
-
-
-def depth(diagram: StratificationDiagram, s: Stratum | str) -> int:
-    """Longest strict chain from the stratum up to the top stratum.
-
-    The open dense stratum has depth 0; each step in a chain adds one.  The
-    closure among finite strata must be acyclic with one top, else
-    MalformedDiagram.  One topological pass over the closure index costs
-    O(strata + closure pairs), plus a sort that names a cycle the same way
-    on every run.
-    """
-    stratum_id = s.id if isinstance(s, Stratum) else s
-    if diagram.stratum(stratum_id).is_distinguished:
-        raise DistinguishedStratum("depth is defined for finite-order strata only")
-    tops = diagram.maximal_finite()
-    if len(tops) != 1:
-        raise MalformedDiagram(f"expected exactly one top stratum, found {len(tops)}")
-    finite_ids = {f.id for f in diagram.finite_strata}
-    above = {i: sorted(diagram._above[i] & finite_ids) for i in sorted(finite_ids)}
-    height: dict[str, int] = {}
-    try:
-        for i in TopologicalSorter(above).static_order():  # strata above come first
-            height[i] = 1 + max((height[u] for u in above[i]), default=-1)
-    except CycleError as exc:
-        cycle = exc.args[1]
-        raise MalformedDiagram(f"closure relation cycles through stratum {cycle[0]!r}") from None
-    return height[stratum_id]
 
 
 def hasse_edges(diagram: StratificationDiagram) -> set[tuple[str, str]]:

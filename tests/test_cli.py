@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import time
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleact.cli import main
+from circleact.recovery import MAX_RECOVERED_WEIGHTS
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +240,22 @@ def test_roundtrip_campaign_bounds_must_be_positive(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert f"argument {flag}: must be > 0, got {value}" in err
+
+
+def test_roundtrip_campaign_refuses_max_m_past_the_recovery_bound(capsys):
+    # A campaign would build a list of up to --max-m weights per trial.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "roundtrip", "--trials", "3", "--seed", "1", "--max-m", "1000000000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert (
+        f"argument --max-m: must be <= {MAX_RECOVERED_WEIGHTS} (the recovery bound), "
+        "got 1000000000"
+    ) in err
+    assert "Traceback" not in err
 
 
 WIRE_1_2 = {

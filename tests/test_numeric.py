@@ -10,11 +10,9 @@ from circleact import (
     PART_RE,
     ActionSpec,
     ExponentVector,
-    IndexOutOfRange,
     InvariantGenerator,
     LengthMismatch,
     NotCoprime,
-    check_axes_image,
     check_homogeneity,
     check_invariance,
     check_m2_membership,
@@ -22,6 +20,7 @@ from circleact import (
     check_separation,
     evaluate_hilbert_map,
     hilbert_basis,
+    numeric,
     realize_generators,
     rotate,
     run_property_suite,
@@ -245,29 +244,24 @@ def test_m2_membership_on_actual_images():
 
 
 def test_axes_image():
-    spec = ActionSpec(0, (1, 2))
     gens = generators_for((1, 2))
-    assert check_axes_image(spec, gens, 1, 2.0)
-    assert check_axes_image(spec, gens, 2, 1.0)
     assert evaluate_hilbert_map(gens, (2 + 0j, 0j)) == (4.0, 0.0, 0.0, 0.0)
     assert evaluate_hilbert_map(gens, (0j, 1 + 0j)) == (0.0, 1.0, 0.0, 0.0)
-
-
-def test_axes_image_rejects_bad_arguments():
-    spec = ActionSpec(0, (1,))
-    gens = generators_for((1,))
-    with pytest.raises(ValueError):
-        check_axes_image(spec, gens, 1, 0.0)
-    with pytest.raises(IndexOutOfRange):
-        check_axes_image(spec, gens, 2, 1.0)
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 2), (2, 3), (1, 2, 3)])
 def test_axes_image_all_axes(weights):
     spec = ActionSpec(0, weights)
     gens = generators_for(weights)
-    for j in range(1, spec.m + 1):
-        assert check_axes_image(spec, gens, j, 1.7)
+    # the j-th axis maps onto the |z_j|^2 slot alone, the generators listing
+    # the |z_i|^2 first
+    for j in range(spec.m):
+        point = tuple(1.7 + 0j if i == j else 0j for i in range(spec.m))
+        for i, v in enumerate(evaluate_hilbert_map(gens, point)):
+            if i == j:
+                assert abs(v - 1.7**2) <= 1e-12 * (1 + 1.7**2)
+            else:
+                assert abs(v) <= 1e-12
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 2), (2, 3), (1, 2, 3)])
@@ -296,6 +290,49 @@ def test_sampled_separation_fails_without_the_re_im_pair():
     gens = generators_for((1, 2))[:2]
     rep = check_separation(spec, gens, trials=200, seed=0)
     assert rep["failures"] == 100, rep
+
+
+def _replaced(gens, k, kbar, *slots):
+    """gens with the entries at `slots` taken over by z^k zbar^kbar, each
+    keeping its part."""
+    gens = list(gens)
+    for i in slots:
+        gens[i] = InvariantGenerator(ExponentVector(k, kbar), gens[i].part)
+    return gens
+
+
+def _evaluate_dropping_kbar(generators, p):
+    """evaluate_hilbert_map with every antiholomorphic exponent read as 0."""
+    values = []
+    for g in generators:
+        w = math.prod(complex(z) ** k for z, k in zip(p, g.exponents.holomorphic))
+        values.append(w.imag if g.part == PART_IM else w.real)
+    return tuple(values)
+
+
+@pytest.mark.parametrize(
+    "check, defect, evaluator, trials, failures",
+    [
+        # Re(z1) in place of Re(z1^2 zbar2): a monomial that is not invariant
+        (check_invariance, lambda g: _replaced(g, (1, 0), (0, 0), 2), None, 100, 100),
+        # z1^3 zbar2 in place of z1^2 zbar2: the wrong exponent profile
+        (check_membership, lambda g: _replaced(g, (3, 0), (0, 1), 2, 3), None, 100, 99),
+        # |z1|^2 and |z2|^2 alone cannot tell (z1, z2) from (z1, -z2) apart,
+        # so every equal-moduli off-orbit trial (the odd half) fails
+        (check_separation, lambda g: g[:2], None, 200, 100),
+        # no generator list can fail homogeneity; an evaluator can
+        (check_homogeneity, lambda g: g, _evaluate_dropping_kbar, 100, 100),
+    ],
+    ids=["invariance", "membership_m2", "separation", "homogeneity"],
+)
+def test_each_sampled_check_fails_on_the_defect_it_names(
+    monkeypatch, check, defect, evaluator, trials, failures
+):
+    if evaluator is not None:
+        monkeypatch.setattr(numeric, "evaluate_hilbert_map", evaluator)
+    gens = defect(generators_for((1, 2)))
+    rep = check(ActionSpec(0, (1, 2)), gens, trials=trials, seed=0)
+    assert rep["failures"] == failures, rep
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 import time
 from itertools import combinations
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from circleact import (
     ActionSpec,
     DISTINGUISHED_ID,
-    DistinguishedStratum,
     EmptyAction,
     FaceClass,
     INFINITE,
@@ -20,7 +18,6 @@ from circleact import (
     Stratum,
     TooManyFaces,
     UnknownStratum,
-    depth,
     face_table,
     hasse_edges,
     orbit_strata,
@@ -168,7 +165,7 @@ def test_divisibility_order_equals_face_inclusion_order(weights):
     orders = sorted(groups)
     for d in orders:
         for e in orders:
-            by_divisibility = diagram.precedes(f"order:{d}", f"order:{e}")
+            by_divisibility = d == e or (f"order:{d}", f"order:{e}") in diagram.closure
             by_inclusion = d == e or any(
                 small <= big for small in groups[d] for big in groups[e]
             )
@@ -289,107 +286,14 @@ def test_trivial_factor_only_shifts_dimensions():
 
 
 # ---------------------------------------------------------------------------
-# depth
+# stratum lookup
 # ---------------------------------------------------------------------------
 
 
-def test_depth_examples():
-    diagram = orbit_strata(ActionSpec(0, (2, 2, 3, 4, 6)))
-    assert depth(diagram, "order:1") == 0
-    assert depth(diagram, "order:2") == 1
-    assert depth(diagram, "order:3") == 1
-    assert depth(diagram, "order:4") == 2
-    assert depth(diagram, "order:6") == 2
-
-
-def test_depth_accepts_stratum_objects():
-    diagram = orbit_strata(ActionSpec(0, (1, 2, 3)))
-    assert depth(diagram, diagram.stratum("order:2")) == 1
-
-
-def test_depth_rejects_distinguished_stratum():
-    diagram = orbit_strata(ActionSpec(0, (1, 2)))
-    with pytest.raises(DistinguishedStratum):
-        depth(diagram, DISTINGUISHED_ID)
-
-
-def test_depth_rejects_unknown_stratum():
+def test_stratum_rejects_an_unknown_id():
     diagram = orbit_strata(ActionSpec(0, (1, 2)))
     with pytest.raises(UnknownStratum):
-        depth(diagram, "order:17")
-
-
-def test_depth_rejects_a_closure_cycle():
-    # a and b sit strictly above each other; a also sits below the top t
-    diagram = StratificationDiagram.from_json(
-        {
-            "ambient_dim": 4,
-            "strata": [
-                {"id": "t", "order": 1, "dim": 3},
-                {"id": "a", "order": 2, "dim": 1},
-                {"id": "b", "order": 3, "dim": 1},
-                {"id": "d", "order": "inf", "dim": 0},
-            ],
-            "closure": [
-                ["a", "b"], ["b", "a"], ["a", "t"],
-                ["d", "t"], ["d", "a"], ["d", "b"],
-            ],
-        }
-    )
-    with pytest.raises(MalformedDiagram, match="cycles through stratum 'a'"):
-        depth(diagram, "a")
-
-
-def test_depth_refuses_a_cycle_off_the_queried_chain():
-    # c and e cycle below the top t; a's only chain, a < t, never meets them,
-    # but a cycle anywhere in the finite closure makes the diagram malformed.
-    diagram = StratificationDiagram.from_json(
-        {
-            "ambient_dim": 6,
-            "strata": [
-                {"id": "t", "order": 1, "dim": 5},
-                {"id": "a", "order": 2, "dim": 3},
-                {"id": "c", "order": 3, "dim": 1},
-                {"id": "e", "order": 5, "dim": 1},
-                {"id": "d", "order": "inf", "dim": 0},
-            ],
-            "closure": [
-                ["a", "t"], ["c", "t"], ["e", "t"], ["c", "e"], ["e", "c"],
-                ["d", "t"], ["d", "a"], ["d", "c"], ["d", "e"],
-            ],
-        }
-    )
-    with pytest.raises(MalformedDiagram, match="cycles through stratum 'c'"):
-        depth(diagram, "a")
-
-
-def chain_diagram(n):
-    """Strata s0..s(n-1) with closure pairs (s_i, s_(i-1)) only, no
-    transitive pairs, and the distinguished stratum below all: s0 is the
-    top and s_i has depth i."""
-    strata = [Stratum(f"s{i}", i + 1, 2 * (n - i)) for i in range(n)]
-    strata.append(Stratum(DISTINGUISHED_ID, INFINITE, 0))
-    closure = {(f"s{i}", f"s{i - 1}") for i in range(1, n)}
-    closure |= {(DISTINGUISHED_ID, f"s{i}") for i in range(n)}
-    return StratificationDiagram(2 * n + 1, tuple(strata), frozenset(closure))
-
-
-@pytest.mark.parametrize("n", [1200, 20000])
-def test_depth_walks_a_long_chain_without_recursing(n):
-    diagram = chain_diagram(n)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(120)
-    try:
-        assert depth(diagram, f"s{n - 1}") == n - 1
-        assert depth(diagram, "s0") == 0
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def test_deeper_chains_through_divisor_towers():
-    # weights (1, 2, 4, 8): orders 1 | 2 | 4 | 8 give a depth-3 chain
-    diagram = orbit_strata(ActionSpec(0, (1, 2, 4, 8)))
-    assert depth(diagram, "order:8") == 3
+        diagram.stratum("order:17")
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +326,27 @@ def test_json_roundtrip_drops_faces_only():
     assert [(s.id, s.order, s.dim) for s in back.strata] == [
         (s.id, s.order, s.dim) for s in diagram.strata
     ]
+
+
+_WIRE_1 = {
+    "ambient_dim": 3,
+    "strata": [{"id": "a", "order": 1, "dim": 2}, {"id": "d", "order": "inf", "dim": 0}],
+    "closure": [["d", "a"]],
+}
+
+
+@pytest.mark.parametrize(
+    "where, key, value",
+    [(None, "ambient_dim", True), (0, "order", "1"), (0, "dim", 2.0)],
+    ids=["bool-ambient-dim", "string-order", "float-dim"],
+)
+def test_diagram_reader_refuses_non_integers(where, key, value):
+    # JSON true is not the order 1: bools, floats and strings are refused,
+    # never converted.
+    data = json.loads(json.dumps(_WIRE_1))
+    (data if where is None else data["strata"][where])[key] = value
+    with pytest.raises(MalformedDiagram, match=f"{key} must be an integer, got {value!r}"):
+        StratificationDiagram.from_json(data)
 
 
 def test_dot_export_lists_all_nodes_and_cover_edges():
@@ -516,7 +441,7 @@ def test_closure_index_agrees_with_closure_scans(finite_count, pairs):
     strata = tuple(Stratum(i, k + 1, 2 * k + 1) for k, i in enumerate(ids[:-1]))
     diagram = StratificationDiagram(9, strata + (Stratum(DISTINGUISHED_ID, INFINITE, 0),), closure)
     for i in ids + ["unknown"]:
-        assert diagram.strictly_above(i) == scan_above(diagram, i)
+        assert diagram._above.get(i, set()) == scan_above(diagram, i)
         assert diagram.strictly_below(i) == scan_below(diagram, i)
     assert diagram.maximal_finite() == scan_maximal_finite(diagram)
     assert hasse_edges(diagram) == scan_hasse_edges(diagram)
@@ -525,9 +450,7 @@ def test_closure_index_agrees_with_closure_scans(finite_count, pairs):
 def test_closure_index_cannot_be_changed_through_its_answers():
     diagram = orbit_strata(ActionSpec(0, (1, 2)))
     diagram.strictly_below("order:1").add("order:1")
-    diagram.strictly_above("order:2").clear()
     assert diagram.strictly_below("order:1") == {"order:2", DISTINGUISHED_ID}
-    assert diagram.strictly_above("order:2") == {"order:1"}
     assert hasse_edges(diagram) == {("order:2", "order:1")}
 
 
