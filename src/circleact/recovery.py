@@ -42,7 +42,10 @@ def infer_dimensions(diagram: StratificationDiagram) -> tuple[int, int, int]:
         raise NoDistinguishedStratum(
             f"expected exactly one infinite-order stratum, found {len(infinite)}"
         )
-    tops = diagram.maximal_finite()
+    finite = diagram.finite_strata
+    finite_ids = {s.id for s in finite}
+    lower = {a for a, b in diagram.closure if b in finite_ids}  # self-pairs bar a top too
+    tops = [s for s in finite if s.id not in lower]
     if len(tops) != 1:
         raise MalformedDiagram(f"expected exactly one top stratum, found {len(tops)}")
     n = tops[0].dim + 1
@@ -84,12 +87,16 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
         raise MalformedDiagram("finite strata must carry positive integer orders")
 
     ranked = sorted(finite, key=lambda s: s.order)
-    own = {diagram.distinguished.id: 0}  # the fixed points carry no weight
+    # the fixed points carry no weight
+    own = {s.id: 0 for s in diagram.strata if s.is_distinguished}
+    below_of = {s.id: set() for s in diagram.strata}
+    for a, b in diagram.closure:
+        below_of[b].add(a)
     for s in reversed(ranked):
         codim = n - 1 - s.dim
         if codim % 2 != 0:
             raise ParityError(f"stratum {s.id!r} has odd codimension {codim}")
-        below = diagram.strictly_below(s.id)
+        below = below_of[s.id]
         uncounted = sorted(below - own.keys())
         if uncounted:
             raise MalformedDiagram(f"{uncounted[0]!r} lies below {s.id!r} without a larger order")

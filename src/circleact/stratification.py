@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .action import INFINITE, ActionSpec
@@ -49,54 +49,31 @@ class StratificationDiagram:
 
     `closure` holds strict pairs (below, above); the partial order itself is
     the reflexive hull.  The wire format deliberately omits face data so
-    that consumers of the JSON see only abstract strata.  The closure is
-    indexed once, into the ids strictly above and strictly below each
-    stratum; `strictly_below` hands out a copy.
+    that consumers of the JSON see only abstract strata.
     """
 
     ambient_dim: int
     strata: tuple[Stratum, ...]
     closure: frozenset[tuple[str, str]]
-    _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
-    _above: dict = field(init=False, repr=False, compare=False, hash=False)
-    _below: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        by_id = {s.id: s for s in self.strata}
-        if len(by_id) != len(self.strata):
+        ids = {s.id for s in self.strata}
+        if len(ids) != len(self.strata):
             raise MalformedDiagram("duplicate stratum ids")
-        above, below = ({i: set() for i in by_id} for _ in range(2))
-        for a, b in self.closure:
-            if a not in by_id or b not in by_id:
-                raise MalformedDiagram(f"closure pair ({a}, {b}) names unknown strata")
-            above[a].add(b)
-            below[b].add(a)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_above", above)
-        object.__setattr__(self, "_below", below)
+        unknown = [(a, b) for a, b in self.closure if a not in ids or b not in ids]
+        if unknown:
+            a, b = min(unknown)
+            raise MalformedDiagram(f"closure pair ({a}, {b}) names unknown strata")
 
     def stratum(self, stratum_id: str) -> Stratum:
-        try:
-            return self._by_id[stratum_id]
-        except KeyError:
-            raise UnknownStratum(f"no stratum with id {stratum_id!r}") from None
+        for s in self.strata:
+            if s.id == stratum_id:
+                return s
+        raise UnknownStratum(f"no stratum with id {stratum_id!r}")
 
     @property
     def finite_strata(self) -> tuple[Stratum, ...]:
         return tuple(s for s in self.strata if not s.is_distinguished)
-
-    @property
-    def distinguished(self) -> Stratum | None:
-        hits = [s for s in self.strata if s.is_distinguished]
-        return hits[0] if len(hits) == 1 else None
-
-    def strictly_below(self, stratum_id: str) -> set[str]:
-        return set(self._below.get(stratum_id, ()))
-
-    def maximal_finite(self) -> list[Stratum]:
-        finite = self.finite_strata
-        finite_ids = {s.id for s in finite}
-        return [s for s in finite if finite_ids.isdisjoint(self._above[s.id])]
 
     def to_json(self) -> dict:
         return {
@@ -230,10 +207,9 @@ def _labels(d: StratificationDiagram) -> tuple[list, set]:
 def hasse_edges(diagram: StratificationDiagram) -> set[tuple[str, str]]:
     """Closure pairs (below, above) of finite strata with none strictly between."""
     finite_ids = {s.id for s in diagram.finite_strata}
-    above, below = diagram._above, diagram._below
-    return {
-        (a, b)
-        for a in finite_ids
-        for b in above[a] & finite_ids
-        if finite_ids.isdisjoint(above[a] & below[b])
-    }
+    above, below = ({i: set() for i in finite_ids} for _ in range(2))
+    for a, b in diagram.closure:
+        if a in finite_ids and b in finite_ids:
+            above[a].add(b)
+            below[b].add(a)
+    return {(a, b) for a in finite_ids for b in above[a] if above[a].isdisjoint(below[b])}

@@ -11,9 +11,8 @@ outputs are equal:
     PYTHONPATH=<tree>/src python tests/cli_corpus.py > corpus.txt
 
 Files are written to a scratch directory entered as the working directory,
-so argv and messages carry the same relative paths on every run, and the
-script runs itself under PYTHONHASHSEED=0.  The name does not match
-``test_*.py``, so pytest does not collect it.
+so argv and messages carry the same relative paths on every run.  The name
+does not match ``test_*.py``, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -258,9 +257,4 @@ def main_corpus() -> int:
 
 
 if __name__ == "__main__":
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        # Some messages name the first offending member of a set of strings,
-        # whose order follows the string hash seed: pin it.
-        env = {**os.environ, "PYTHONHASHSEED": "0"}
-        os.execve(sys.executable, [sys.executable, *sys.argv], env)
     sys.exit(main_corpus())

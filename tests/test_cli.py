@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circleact
 from circleact.cli import main
 from circleact.recovery import MAX_RECOVERED_WEIGHTS
 
@@ -433,3 +436,29 @@ def test_recover_refuses_orders_missing_a_gcd(capsys, monkeypatch):
     assert out == ""
     assert "UncertifiedDiagram: no stratum has order" in err
     assert "Traceback" not in err
+
+
+def test_recover_names_the_smallest_unknown_closure_pair_under_every_hash_seed():
+    diagram = json.dumps(
+        {
+            "ambient_dim": 3,
+            "strata": [{"id": "a", "order": 1, "dim": 2}, {"id": "z", "order": "inf", "dim": 0}],
+            "closure": [["z", "a"], ["q", "a"], ["b", "c"], ["x", "y"], ["m", "n"]],
+        }
+    )
+    src = os.path.dirname(os.path.dirname(circleact.__file__))
+    errs = set()
+    for seed in "0123":
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "circleact", "recover", "--diagram", "-"],
+            input=diagram,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        errs.add(done.stderr)
+    assert len(errs) == 1
+    assert "closure pair (b, c) names unknown strata" in errs.pop()

@@ -20,6 +20,7 @@ from circleact import (
     UnknownStratum,
     face_table,
     hasse_edges,
+    infer_dimensions,
     orbit_strata,
     recover_weights,
 )
@@ -213,7 +214,7 @@ def test_dimension_bookkeeping(weights, trivial):
     for s in diagram.finite_strata:
         assert (top.dim - s.dim) % 2 == 0
         assert s.dim >= spec.trivial_dim
-    assert diagram.distinguished.dim == spec.trivial_dim
+    assert [s.dim for s in diagram.strata if s.is_distinguished] == [spec.trivial_dim]
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +399,12 @@ def test_dot_export_escapes_quotes_and_backslashes_in_ids():
 
 
 # ---------------------------------------------------------------------------
-# the closure index
+# views derived from the closure
 # ---------------------------------------------------------------------------
 
 
 def scan_above(diagram, stratum_id):
     return {b for a, b in diagram.closure if a == stratum_id}
-
-
-def scan_below(diagram, stratum_id):
-    return {a for a, b in diagram.closure if b == stratum_id}
 
 
 def scan_maximal_finite(diagram):
@@ -440,17 +437,17 @@ def test_closure_index_agrees_with_closure_scans(finite_count, pairs):
     closure = frozenset((a, b) for a, b in pairs if a in ids and b in ids)
     strata = tuple(Stratum(i, k + 1, 2 * k + 1) for k, i in enumerate(ids[:-1]))
     diagram = StratificationDiagram(9, strata + (Stratum(DISTINGUISHED_ID, INFINITE, 0),), closure)
-    for i in ids + ["unknown"]:
-        assert diagram._above.get(i, set()) == scan_above(diagram, i)
-        assert diagram.strictly_below(i) == scan_below(diagram, i)
-    assert diagram.maximal_finite() == scan_maximal_finite(diagram)
+    tops = scan_maximal_finite(diagram)
+    # ambient_dim 9 is odd and every top dim + 1 is even, so a single top
+    # always passes the top rule and names itself in the next refusal
+    message = f"top stratum, found {len(tops)}" if len(tops) != 1 else f"= {tops[0].dim + 1}"
+    with pytest.raises(MalformedDiagram, match=message + "$"):
+        infer_dimensions(diagram)
     assert hasse_edges(diagram) == scan_hasse_edges(diagram)
 
 
 def test_closure_index_cannot_be_changed_through_its_answers():
     diagram = orbit_strata(ActionSpec(0, (1, 2)))
-    diagram.strictly_below("order:1").add("order:1")
-    assert diagram.strictly_below("order:1") == {"order:2", DISTINGUISHED_ID}
     assert hasse_edges(diagram) == {("order:2", "order:1")}
 
 
