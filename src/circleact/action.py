@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterable
 
-from .errors import NotEffective
+from .errors import EmptyAction, NotEffective
 
 INFINITE = math.inf
 
@@ -25,7 +25,9 @@ class ActionSpec:
 
     `trivial_dim` is the dimension of the fixed factor; `weights` are the
     rotation speeds of the m complex coordinates.  Weights must be positive
-    with overall gcd 1 (use :func:`canonicalize` to normalize raw input).
+    with overall gcd 1 (use :func:`canonicalize` to normalize raw input), and
+    there must be at least one: an action with no nonzero weight is trivial,
+    so not effective, and raises :class:`EmptyAction`.
     Weight order is immaterial to the geometry; it is preserved here so that
     permutation invariance can be tested, and `canonicalize` sorts.
     """
@@ -41,9 +43,11 @@ class ActionSpec:
             raise ValueError(f"trivial_dim must be an integer, got {self.trivial_dim!r}") from None
         if self.trivial_dim < 0:
             raise ValueError(f"trivial_dim must be >= 0, got {self.trivial_dim}")
+        if not self.weights:
+            raise EmptyAction("no weighted coordinates: the trivial action is not effective")
         if any(w < 1 for w in self.weights):
             raise ValueError(f"weights must be positive integers, got {self.weights}")
-        shared = math.gcd(*self.weights)  # 0 for no weights
+        shared = math.gcd(*self.weights)
         if shared > 1:
             raise NotEffective(f"weights {list(self.weights)} have gcd {shared} > 1")
 
@@ -76,8 +80,9 @@ def canonicalize(raw_weights: Iterable[int], trivial_dim: int = 0) -> ActionSpec
 
     Negative weights are conjugated to their absolute values, zero weights
     are folded into the trivial factor (two real dimensions each), and the
-    survivors are sorted ascending.  Raises :class:`NotEffective` if the
-    remaining weights share a divisor.
+    survivors are sorted ascending.  Raises :class:`EmptyAction` if no
+    weight is nonzero and :class:`NotEffective` if the remaining weights
+    share a divisor.
     """
     raw = integers(raw_weights, "weights")
     folded = trivial_dim + 2 * sum(1 for w in raw if w == 0)

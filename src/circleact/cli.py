@@ -82,8 +82,7 @@ def _cmd_stratify(args: argparse.Namespace) -> int:
             )
         print("strata:")
         for s in diagram.strata:
-            order = "inf" if s.is_distinguished else s.order
-            print(f"  {s.id}  order {order}  dim {s.dim}")
+            print(f"  {s.id}  order {s.wire_order}  dim {s.dim}")
         print("hasse edges:")
         for a, b in sorted(hasse_edges(diagram)):
             print(f"  {a} < {b}")
@@ -100,10 +99,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report))
     else:
-        print(f"weights: {list(weights)}")
-        print(f"trivial_dim: {trivial_dim}")
-        print(f"m: {m}")
-        print(f"n: {n}")
+        for key, value in report.items():
+            print(f"{key}: {value}")
     return 0
 
 

@@ -17,7 +17,7 @@ from math import comb
 from operator import attrgetter, ge, itemgetter, sub
 
 from .action import ActionSpec, integers
-from .errors import EmptyAction, LengthMismatch, NotInvariant, TooManyCandidates
+from .errors import LengthMismatch, NotInvariant, TooManyCandidates
 
 PART_ABS2 = "abs2"
 PART_RE = "re"
@@ -174,8 +174,6 @@ def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
     coordinates would grow at least one vector per pair.  Every refusal
     names the spec's own weights.
     """
-    if spec.m == 0:
-        raise EmptyAction("no weighted coordinates: the invariant monoid is trivial")
     m = spec.m
     weights = spec.weights
     classes: dict[int, list[int]] = {}

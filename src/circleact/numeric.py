@@ -81,14 +81,10 @@ def same_orbit(
     tol / (1 + pi * max(weights) / a); anchoring on the largest modulus is
     what bounds that factor.
     """
-    if len(z) != len(w):
-        raise LengthMismatch(f"points have {len(z)} and {len(w)} coordinates")
+    if not len(z) == len(w) == spec.m:
+        raise LengthMismatch(f"points have {len(z)} and {len(w)} coordinates, action has {spec.m}")
     zs = tuple(complex(c) for c in z)
     ws = tuple(complex(c) for c in w)
-    if len(zs) != spec.m:
-        raise LengthMismatch(f"point has {len(zs)} coordinates, action has {spec.m}")
-    if spec.m == 0:
-        return True
     j = max(range(spec.m), key=lambda i: abs(zs[i]))
     a = spec.weights[j]
     turn = cmath.phase(ws[j]) - cmath.phase(zs[j])

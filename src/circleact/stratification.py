@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .action import INFINITE, ActionSpec
-from .errors import EmptyAction, MalformedDiagram, TooManyFaces, UnknownStratum
+from .errors import MalformedDiagram, TooManyFaces, UnknownStratum
 
 DISTINGUISHED_ID = "distinguished"
 MAX_FACE_TABLE_M = 16  # 65,535 rows; each further coordinate doubles the table
@@ -41,6 +41,11 @@ class Stratum:
     @property
     def is_distinguished(self) -> bool:
         return self.order == INFINITE
+
+    @property
+    def wire_order(self) -> int | str:
+        """The order as the wire format spells it, "inf" for infinite."""
+        return "inf" if self.is_distinguished else self.order
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,7 @@ class StratificationDiagram:
         return {
             "ambient_dim": self.ambient_dim,
             "strata": [
-                {
-                    "id": s.id,
-                    "order": "inf" if s.is_distinguished else s.order,
-                    "dim": s.dim,
-                }
+                {"id": s.id, "order": s.wire_order, "dim": s.dim}
                 for s in self.strata
             ],
             "closure": sorted([a, b] for a, b in self.closure),
@@ -115,8 +116,7 @@ class StratificationDiagram:
     def to_dot(self) -> str:
         lines = ["digraph stratification {"]
         for s in self.strata:
-            order = "inf" if s.is_distinguished else s.order
-            label = _dot_string(f"{s.id} (order {order}, dim {s.dim})")
+            label = _dot_string(f"{s.id} (order {s.wire_order}, dim {s.dim})")
             lines.append(f"  {_dot_string(s.id)} [label={label}];")
         for a, b in sorted(hasse_edges(self)):
             lines.append(f"  {_dot_string(a)} -> {_dot_string(b)};")
@@ -143,8 +143,6 @@ def face_table(spec: ActionSpec) -> list[FaceClass]:
     Listed by decreasing subset size (codimension 0 first), lexicographic
     within a size, matching the usual tabulation.
     """
-    if spec.m == 0:
-        raise EmptyAction("no weighted coordinates to tabulate")
     if spec.m > MAX_FACE_TABLE_M:
         raise TooManyFaces(f"m = {spec.m} is over the face table's bound m = {MAX_FACE_TABLE_M}")
     rows = []
@@ -164,8 +162,6 @@ def orbit_strata(spec: ActionSpec) -> StratificationDiagram:
     strata, stratum_d lies below stratum_e iff e divides d; the distinguished
     stratum lies below everything.
     """
-    if spec.m == 0:
-        raise EmptyAction("no weighted coordinates to tabulate")
     counts = Counter(spec.weights)  # work over the distinct weights, not all m
     orders: set[int] = set()
     for w in counts:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from circleact import (
     ActionSpec,
+    EmptyAction,
     MalformedDiagram,
     NotEffective,
     StratificationDiagram,
@@ -36,11 +37,9 @@ def test_canonicalize_sorts_ascending():
     assert canonicalize([5, 1, 3]).weights == (1, 3, 5)
 
 
-def test_all_zero_weights_become_trivial_factor():
-    spec = canonicalize([0, 0], 1)
-    assert spec.weights == ()
-    assert spec.trivial_dim == 5
-    assert spec.n == 5
+def test_all_zero_weights_are_refused():
+    with pytest.raises(EmptyAction):
+        canonicalize([0, 0], 1)
 
 
 def test_constructor_rejects_nonpositive_weights():
@@ -53,6 +52,8 @@ def test_constructor_rejects_nonpositive_weights():
 def test_constructor_rejects_ineffective_weights():
     with pytest.raises(NotEffective):
         ActionSpec(0, (2, 4))
+    with pytest.raises(EmptyAction):
+        ActionSpec(0, ())
 
 
 def test_spec_json_roundtrip():
@@ -68,7 +69,7 @@ def test_spec_json_roundtrip():
 def test_canonicalize_idempotent(raw, trivial):
     try:
         spec = canonicalize(raw, trivial)
-    except NotEffective:
+    except (NotEffective, EmptyAction):
         return
     again = canonicalize(spec.weights, spec.trivial_dim)
     assert again == spec

@@ -195,6 +195,19 @@ def test_unparseable_weights_name_the_expected_format(capsys, command, text):
     assert "_parse_weights" not in err
 
 
+def test_all_zero_weights_share_one_refusal(capsys):
+    errs = set()
+    for command in ("invariants", "stratify", "roundtrip", "verify"):
+        for text in ("0", "0,0"):
+            code, out, err = run_cli(capsys, command, "--weights", text)
+            assert code == 2
+            assert out == ""
+            errs.add(err)
+    assert len(errs) == 1
+    (err,) = errs
+    assert err.startswith("error: EmptyAction: ") and err.count("\n") == 1
+
+
 def test_missing_diagram_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "recover", "--diagram", "/nonexistent.json")
     assert code == 2

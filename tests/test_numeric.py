@@ -175,6 +175,20 @@ def test_same_orbit_accepts_a_rotation_with_large_weights():
     assert same_orbit(spec, z, rotate(spec, 0.123456, z), 1e-9)
 
 
+@pytest.mark.parametrize(
+    "z, w, lengths",
+    [
+        ((1 + 0j,), (1 + 0j, 1j), "1 and 2"),
+        ((1 + 0j, 1j), (1 + 0j,), "2 and 1"),
+        ((1 + 0j,), (1j,), "1 and 1"),
+    ],
+    ids=["short-z", "short-w", "both-short"],
+)
+def test_same_orbit_refuses_points_off_the_action(z, w, lengths):
+    with pytest.raises(LengthMismatch, match=f"points have {lengths} coordinates, action has 2"):
+        same_orbit(ActionSpec(0, (1, 2)), z, w, 1e-9)
+
+
 effective_weights = st.lists(st.integers(1, 8), min_size=1, max_size=4).map(
     lambda ws: tuple(w // math.gcd(*ws) for w in ws)
 )
