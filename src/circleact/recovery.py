@@ -24,7 +24,7 @@ from .errors import (
     TooManyWeights,
     UncertifiedDiagram,
 )
-from .stratification import StratificationDiagram, diagram_difference, orbit_strata
+from .stratification import StratificationDiagram, _difference, _labels, _spec_labels, orbit_strata
 
 MAX_RECOVERED_WEIGHTS = 10**6  # no list of weights is built past this m
 
@@ -73,9 +73,10 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
     each contributing one copy of S's isotropy order.  In a diagram of an
     action every stratum strictly below S has a proper multiple of S's
     order, so one pass by decreasing order counts them before S.  The
-    recovered action is then stratified again, and any difference from the
-    input raises UncertifiedDiagram: a diagram is accepted exactly when
-    some effective linear circle action produces it.
+    recovered action's strata are then computed on orders and compared with
+    the input by diagram_difference's helper; any difference raises
+    UncertifiedDiagram: a diagram is accepted exactly when some effective
+    linear circle action produces it.
     """
     n, trivial_dim, m = infer_dimensions(diagram)
     if m > MAX_RECOVERED_WEIGHTS:
@@ -97,8 +98,8 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
         if codim % 2 != 0:
             raise ParityError(f"stratum {s.id!r} has odd codimension {codim}")
         below = below_of[s.id]
-        uncounted = sorted(below - own.keys())
-        if uncounted:
+        if not below <= own.keys():
+            uncounted = sorted(below - own.keys())
             raise MalformedDiagram(f"{uncounted[0]!r} lies below {s.id!r} without a larger order")
         count = m - codim // 2 - sum(own[b] for b in below)
         if count < 0:
@@ -112,12 +113,12 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
         weights += [s.order] * own[s.id]
     # ActionSpec raises NotEffective when the weights share a divisor.
     spec = ActionSpec(trivial_dim, tuple(weights))
-    # An action's orders are gcd-closed; if not, orbit_strata may build 2^k strata from k.
+    # An action's orders are gcd-closed; if not, _spec_labels may build 2^k strata from k.
     orders = {s.order for s in finite}
     for a, b in combinations(sorted(orders), 2):
         if gcd(a, b) not in orders:
             raise UncertifiedDiagram(f"no stratum has order {gcd(a, b)}, the gcd of {a} and {b}")
-    difference = diagram_difference(diagram, orbit_strata(spec))
+    difference = _difference(_labels(diagram), _spec_labels(spec))
     if difference is not None:
         raise UncertifiedDiagram(
             f"this diagram (first) differs from its recovered action's (second): {difference}"

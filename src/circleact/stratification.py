@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .action import INFINITE, ActionSpec
 from .errors import MalformedDiagram, TooManyFaces, UnknownStratum
@@ -153,6 +153,20 @@ def face_table(spec: ActionSpec) -> list[FaceClass]:
     return rows
 
 
+def _strata(spec: ActionSpec) -> tuple[dict[int, int], list[tuple[int, int]]]:
+    """Finite strata as {order: dim} by increasing order; pairs (e, d), e < d, e divides d."""
+    counts = Counter(spec.weights)  # work over the distinct weights, not all m
+    orders: set[int] = set()
+    for w in counts:
+        orders |= {w, *map(math.gcd, repeat(w, len(orders)), orders)}
+    ranked = sorted(orders)
+    pairs = [(e, d) for e, d in combinations(ranked, 2) if d % e == 0]
+    size = Counter(counts)  # size[e] = #{j : e divides w_j}
+    for e, d in pairs:
+        size[e] += counts[d]
+    return {d: spec.trivial_dim - 1 + 2 * size[d] for d in ranked}, pairs
+
+
 def orbit_strata(spec: ActionSpec) -> StratificationDiagram:
     """Build the stratification diagram of the orbit space from the weights.
 
@@ -162,16 +176,9 @@ def orbit_strata(spec: ActionSpec) -> StratificationDiagram:
     strata, stratum_d lies below stratum_e iff e divides d; the distinguished
     stratum lies below everything.
     """
-    counts = Counter(spec.weights)  # work over the distinct weights, not all m
-    orders: set[int] = set()
-    for w in counts:
-        orders |= {math.gcd(w, d) for d in orders} | {w}
-    ids = {d: f"order:{d}" for d in sorted(orders)}
-    pairs = [(e, d) for e, d in combinations(ids, 2) if d % e == 0]  # e < d, e divides d
-    size = Counter(counts)  # size[e] = #{j : e divides w_j}
-    for e, d in pairs:
-        size[e] += counts[d]
-    strata = [Stratum(i, d, spec.trivial_dim - 1 + 2 * size[d]) for d, i in ids.items()]
+    dims, pairs = _strata(spec)
+    ids = {d: f"order:{d}" for d in dims}
+    strata = [Stratum(i, d, dims[d]) for d, i in ids.items()]
     strata.append(Stratum(DISTINGUISHED_ID, INFINITE, spec.trivial_dim))
     closure = {(DISTINGUISHED_ID, i) for i in ids.values()} | {(ids[d], ids[e]) for e, d in pairs}
     return StratificationDiagram(spec.n, tuple(strata), frozenset(closure))
@@ -184,10 +191,13 @@ def diagram_difference(a: StratificationDiagram, b: StratificationDiagram) -> st
     the sorted (order, dim) lists and the sets of closure pairs read as
     pairs of orders must agree.
     """
-    if a.ambient_dim != b.ambient_dim:
-        return f"ambient_dim {a.ambient_dim} != {b.ambient_dim}"
-    names = ("stratum (order, dim)", "closure pair of orders")
-    for what, left, right in zip(names, _labels(a), _labels(b)):
+    return _difference(_labels(a), _labels(b))
+
+
+def _difference(a: tuple[int, list, set], b: tuple[int, list, set]) -> str | None:
+    if a[0] != b[0]:
+        return f"ambient_dim {a[0]} != {b[0]}"
+    for what, left, right in zip(("stratum (order, dim)", "closure pair of orders"), a[1:], b[1:]):
         if left != right:
             extra = Counter(left) - Counter(right)
             side, extra = ("first", extra) if extra else ("second", Counter(right) - Counter(left))
@@ -195,9 +205,17 @@ def diagram_difference(a: StratificationDiagram, b: StratificationDiagram) -> st
     return None
 
 
-def _labels(d: StratificationDiagram) -> tuple[list, set]:
+def _labels(d: StratificationDiagram) -> tuple[int, list, set]:
     order = {s.id: s.order for s in d.strata}
-    return sorted((s.order, s.dim) for s in d.strata), {(order[x], order[y]) for x, y in d.closure}
+    strata = sorted((s.order, s.dim) for s in d.strata)
+    return d.ambient_dim, strata, {(order[x], order[y]) for x, y in d.closure}
+
+
+def _spec_labels(spec: ActionSpec) -> tuple[int, list, set]:
+    """_labels(orbit_strata(spec)), without building the diagram."""
+    dims, pairs = _strata(spec)
+    closure = {(INFINITE, d) for d in dims} | {(d, e) for e, d in pairs}
+    return spec.n, [*dims.items(), (INFINITE, spec.trivial_dim)], closure
 
 
 def hasse_edges(diagram: StratificationDiagram) -> set[tuple[str, str]]:

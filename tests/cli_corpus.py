@@ -10,6 +10,10 @@ outputs are equal:
 
     PYTHONPATH=<tree>/src python tests/cli_corpus.py > corpus.txt
 
+``tests/cli_corpus.txt`` holds this tree's output, written with
+``PYTHONHASHSEED=0``, and ``test_cli.py`` compares a fresh run with it byte
+for byte; a change that means to alter an output regenerates it.
+
 Files are written to a scratch directory entered as the working directory,
 so argv and messages carry the same relative paths on every run.  The name
 does not match ``test_*.py``, so pytest does not collect it.

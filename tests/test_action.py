@@ -54,6 +54,8 @@ def test_constructor_rejects_ineffective_weights():
         ActionSpec(0, (2, 4))
     with pytest.raises(EmptyAction):
         ActionSpec(0, ())
+    with pytest.raises(EmptyAction):
+        ActionSpec(3, ())
 
 
 def test_spec_json_roundtrip():

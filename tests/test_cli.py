@@ -475,3 +475,20 @@ def test_recover_names_the_smallest_unknown_closure_pair_under_every_hash_seed()
         errs.add(done.stderr)
     assert len(errs) == 1
     assert "closure pair (b, c) names unknown strata" in errs.pop()
+
+
+def test_cli_corpus_output_is_the_committed_golden_file():
+    """tests/cli_corpus.txt was written by tests/cli_corpus.py; an intended
+    output change regenerates it, so review shows the changed lines."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(circleact.__file__))
+    done = subprocess.run(
+        [sys.executable, os.path.join(tests, "cli_corpus.py")],
+        capture_output=True,
+        env={**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    with open(os.path.join(tests, "cli_corpus.txt"), "rb") as fh:
+        golden = fh.read()
+    assert done.stdout == golden

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from circleact import (
     ActionSpec,
-    EmptyAction,
     ExponentVector,
     InvariantGenerator,
     LengthMismatch,
@@ -180,11 +179,6 @@ def test_basis_weights_1_1():
         }
     )
     assert hilbert_basis(ActionSpec(0, (1, 1))) == expected
-
-
-def test_basis_rejects_empty_action():
-    with pytest.raises(EmptyAction):
-        hilbert_basis(ActionSpec(0, ()))
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from circleact import (
     roundtrip,
 )
 from circleact.cli import main
+from circleact.stratification import _difference, _labels, _spec_labels
 
 
 def diagram_of(weights, trivial_dim=0):
@@ -195,13 +196,6 @@ def test_roundtrip_exhaustive_tiny():
         for b in range(a, 9):
             if math.gcd(a, b) == 1:
                 assert roundtrip(ActionSpec(0, (a, b)))
-
-
-def test_roundtrip_rejects_purely_trivial_action():
-    from circleact import EmptyAction
-
-    with pytest.raises(EmptyAction):
-        roundtrip(ActionSpec(3, ()))
 
 
 def test_recovered_count_always_matches_m():
@@ -536,6 +530,54 @@ def test_diagram_difference_names_a_missing_closure_pair():
     assert diagram_difference(thinned, genuine) == (
         "only the second diagram has the closure pair of orders (2, 1)"
     )
+
+
+def perturbed(diagram, kind, pick):
+    """`diagram` unchanged, or with one stratum's dim moved by 2, one stratum
+    dropped with its closure pairs, its ids renamed, or one closure pair gone."""
+    strata, closure = list(diagram.strata), set(diagram.closure)
+    target = strata[pick % len(strata)]
+    if kind in ("dim+2", "dim-2"):
+        shift = 2 if kind == "dim+2" else -2
+        strata[pick % len(strata)] = Stratum(target.id, target.order, target.dim + shift)
+    elif kind == "drop":
+        strata.remove(target)
+        closure = {pair for pair in closure if target.id not in pair}
+    elif kind == "relabel":
+        names = [f"x{i}" for i in range(len(strata))]
+        random.Random(pick).shuffle(names)
+        renamed = dict(zip((s.id for s in strata), names))
+        strata = [Stratum(renamed[s.id], s.order, s.dim) for s in reversed(strata)]
+        closure = {(renamed[a], renamed[b]) for a, b in closure}
+    elif kind == "unpair":
+        closure.remove(sorted(closure)[pick % len(closure)])
+    return StratificationDiagram(diagram.ambient_dim, tuple(strata), frozenset(closure))
+
+
+certificate_specs = st.builds(
+    lambda raw, t: canonicalize([w // math.gcd(*raw) for w in raw], t),
+    st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    certificate_specs,
+    st.sampled_from([None, "dim+2", "dim-2", "drop", "relabel", "unpair"]),
+    st.integers(0, 10**6),
+)
+def test_certificate_differs_exactly_as_diagram_difference_does(spec, kind, pick):
+    """recover_weights compares a diagram with its recovered action's strata
+    without building that action's diagram; the old composition is the oracle."""
+    diagram = perturbed(orbit_strata(spec), kind, pick)
+    bumped = [*spec.weights[:-1], spec.weights[-1] + 1]
+    neighbour = canonicalize([w // math.gcd(*bumped) for w in bumped], spec.trivial_dim)
+    for other in (spec, neighbour):
+        expected = diagram_difference(diagram, orbit_strata(other))
+        assert _difference(_labels(diagram), _spec_labels(other)) == expected
+        if other is spec:
+            assert (expected is None) == (kind in (None, "relabel"))
 
 
 wire_ids = st.sampled_from(["a", "b", "c", "z"])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from circleact import (
     ActionSpec,
     DISTINGUISHED_ID,
-    EmptyAction,
     FaceClass,
     INFINITE,
     MalformedDiagram,
@@ -99,11 +98,6 @@ def test_face_table_codim_6_entry():
     entry = next(r for r in rows if r.indices == frozenset({3, 5}))
     assert entry.stabilizer_order == 3
     assert entry.codim == 6
-
-
-def test_face_table_rejects_empty_action():
-    with pytest.raises(EmptyAction):
-        face_table(ActionSpec(3, ()))
 
 
 def test_face_table_refuses_more_than_16_coordinates():
