@@ -1,7 +1,7 @@
 """Effective linear circle actions: invariant generators, orbit-type
 stratification, and recovery of the weights from the abstract diagram."""
 
-from .action import INFINITE, ActionSpec, canonicalize
+from .action import ActionSpec, canonicalize
 from .errors import (
     CircleActionError,
     CountMismatch,
@@ -47,6 +47,7 @@ from .numeric import (
 from .recovery import infer_dimensions, recover_weights, roundtrip
 from .stratification import (
     DISTINGUISHED_ID,
+    INFINITE,
     FaceClass,
     StratificationDiagram,
     Stratum,

@@ -16,8 +16,6 @@ from typing import Iterable
 
 from .errors import EmptyAction, NotEffective
 
-INFINITE = math.inf
-
 
 @dataclass(frozen=True)
 class ActionSpec:

@@ -11,9 +11,6 @@ leaves the number of weights equal to that stratum's own order.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
-
 from .action import ActionSpec
 from .errors import (
     CountMismatch,
@@ -73,10 +70,11 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
     each contributing one copy of S's isotropy order.  In a diagram of an
     action every stratum strictly below S has a proper multiple of S's
     order, so one pass by decreasing order counts them before S.  The
-    recovered action's strata are then computed on orders and compared with
-    the input by diagram_difference's helper; any difference raises
-    UncertifiedDiagram: a diagram is accepted exactly when some effective
-    linear circle action produces it.
+    recovered action's strata are then computed on orders, their gcd
+    closure kept inside the input's orders, and compared with the input by
+    diagram_difference's helper; a gcd outside those orders or any
+    difference raises UncertifiedDiagram: a diagram is accepted exactly
+    when some effective linear circle action produces it.
     """
     n, trivial_dim, m = infer_dimensions(diagram)
     if m > MAX_RECOVERED_WEIGHTS:
@@ -113,12 +111,7 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
         weights += [s.order] * own[s.id]
     # ActionSpec raises NotEffective when the weights share a divisor.
     spec = ActionSpec(trivial_dim, tuple(weights))
-    # An action's orders are gcd-closed; if not, _spec_labels may build 2^k strata from k.
-    orders = {s.order for s in finite}
-    for a, b in combinations(sorted(orders), 2):
-        if gcd(a, b) not in orders:
-            raise UncertifiedDiagram(f"no stratum has order {gcd(a, b)}, the gcd of {a} and {b}")
-    difference = _difference(_labels(diagram), _spec_labels(spec))
+    difference = _difference(_labels(diagram), _spec_labels(spec, {s.order for s in finite}))
     if difference is not None:
         raise UncertifiedDiagram(
             f"this diagram (first) differs from its recovered action's (second): {difference}"

@@ -15,10 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, repeat
 
-from .action import INFINITE, ActionSpec
-from .errors import MalformedDiagram, TooManyFaces, UnknownStratum
+from .action import ActionSpec
+from .errors import MalformedDiagram, TooManyFaces, UncertifiedDiagram, UnknownStratum
 
 DISTINGUISHED_ID = "distinguished"
+INFINITE = math.inf
 MAX_FACE_TABLE_M = 16  # 65,535 rows; each further coordinate doubles the table
 
 
@@ -153,12 +154,18 @@ def face_table(spec: ActionSpec) -> list[FaceClass]:
     return rows
 
 
-def _strata(spec: ActionSpec) -> tuple[dict[int, int], list[tuple[int, int]]]:
-    """Finite strata as {order: dim} by increasing order; pairs (e, d), e < d, e divides d."""
+def _strata(spec: ActionSpec, within: set | None = None) -> tuple[dict, list[tuple[int, int]]]:
+    """Finite strata as {order: dim} by increasing order; pairs (e, d), e < d, e divides d.
+    A gcd outside `within` (orders holding the weights, if given) raises before it joins."""
     counts = Counter(spec.weights)  # work over the distinct weights, not all m
     orders: set[int] = set()
     for w in counts:
-        orders |= {w, *map(math.gcd, repeat(w, len(orders)), orders)}
+        new = {w, *map(math.gcd, repeat(w, len(orders)), orders)}
+        if within is not None and not new <= within:
+            a, b = min(sorted((w, o)) for o in orders if math.gcd(w, o) not in within)
+            g = math.gcd(a, b)
+            raise UncertifiedDiagram(f"no stratum has order {g}, the gcd of {a} and {b}")
+        orders |= new
     ranked = sorted(orders)
     pairs = [(e, d) for e, d in combinations(ranked, 2) if d % e == 0]
     size = Counter(counts)  # size[e] = #{j : e divides w_j}
@@ -211,9 +218,9 @@ def _labels(d: StratificationDiagram) -> tuple[int, list, set]:
     return d.ambient_dim, strata, {(order[x], order[y]) for x, y in d.closure}
 
 
-def _spec_labels(spec: ActionSpec) -> tuple[int, list, set]:
-    """_labels(orbit_strata(spec)), without building the diagram."""
-    dims, pairs = _strata(spec)
+def _spec_labels(spec: ActionSpec, within: set | None = None) -> tuple[int, list, set]:
+    """_labels(orbit_strata(spec)), without building the diagram; `within` as in _strata."""
+    dims, pairs = _strata(spec, within)
     closure = {(INFINITE, d) for d in dims} | {(d, e) for e, d in pairs}
     return spec.n, [*dims.items(), (INFINITE, spec.trivial_dim)], closure
 

@@ -57,6 +57,8 @@ def test_readme_cli_examples_print_what_the_readme_shows():
         "circleact invariants --weights 1,2",
         "circleact stratify --weights 2,2,3,4,6 --format json"
         " | circleact recover --diagram - --format json",
+        "circleact roundtrip --weights 7,11,13",
+        "circleact roundtrip --trials 1000 --seed 7",
     }
     for command, lines in examples:
         assert run_pipeline(command).splitlines() == lines, command

@@ -2,9 +2,12 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from circleact import (
     INFINITE,
     ActionSpec,
+    CircleActionError,
     CountMismatch,
     MalformedDiagram,
     NegativeMultiplicity,
@@ -382,8 +386,8 @@ def test_library_built_fractional_order_is_a_malformed_diagram():
 
 
 def worked_uncertified_diagram():
-    # The one-pass count returns (1, 1, 1, 6, 12), whose own diagram has no
-    # order-4 stratum; the input has no order-2 stratum for gcd(4, 6).
+    # The one-pass count returns (1, 1, 1, 6, 12), whose orders 1, 6 and 12
+    # are gcd-closed inside the input's but have no order-4 stratum.
     orders_dims = [(1, 10), (4, 2), (6, 4), (12, 2)]
     return abstract(
         11,
@@ -395,7 +399,8 @@ def worked_uncertified_diagram():
 
 
 def test_worked_uncertified_diagram_is_rejected():
-    with pytest.raises(UncertifiedDiagram, match="no stratum has order 2, the gcd of 4 and 6"):
+    first_only = r"only the first diagram has the stratum \(order, dim\) \(4, 2\)"
+    with pytest.raises(UncertifiedDiagram, match=first_only):
         recover_weights(worked_uncertified_diagram())
 
 
@@ -578,6 +583,71 @@ def test_certificate_differs_exactly_as_diagram_difference_does(spec, kind, pick
         assert _difference(_labels(diagram), _spec_labels(other)) == expected
         if other is spec:
             assert (expected is None) == (kind in (None, "relabel"))
+
+
+def gcd_gapped(spec, pick):
+    """The diagram of spec's weights plus 31 times a missing divisor of one of
+    its orders (or else plus 31*37 and 31*41), without the strata of the
+    orders that the weights' own diagram lacks: so the inserted order's gcd
+    with an existing order (or with the other inserted one) has no stratum,
+    while every stratum still counts its weights as in an action's diagram."""
+    orders = {s.order for s in orbit_strata(spec).finite_strata}
+    gaps = sorted({g for e in orders for g in range(2, e) if e % g == 0} - orders)
+    extra = {31 * gaps[pick % len(gaps)]} if gaps else {31 * 37, 31 * 41}
+    grown = orbit_strata(ActionSpec(spec.trivial_dim, spec.weights + tuple(extra)))
+    kept = {s.id for s in grown.strata if s.is_distinguished or s.order in orders | extra}
+    return StratificationDiagram(
+        grown.ambient_dim,
+        tuple(s for s in grown.strata if s.id in kept),
+        frozenset(pair for pair in grown.closure if set(pair) <= kept),
+    )
+
+
+def recover_with_pairwise_gcd_check(diagram):
+    """recover_weights with the certificate it had before its gcd closure
+    checked the input's orders: every pair of orders' gcd is looked up
+    first, then the recovered action's unbounded closure is compared."""
+
+    def certificate(spec, within):
+        for a, b in combinations(sorted(within), 2):
+            if math.gcd(a, b) not in within:
+                raise UncertifiedDiagram(f"no stratum has order {math.gcd(a, b)}")
+        return _spec_labels(spec)
+
+    with mock.patch("circleact.recovery._spec_labels", certificate):
+        return recover_weights(diagram)
+
+
+def weights_or_error(recover, diagram):
+    """(weights, "") or (the error's class, its message)."""
+    try:
+        return recover(diagram), ""
+    except CircleActionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    certificate_specs,
+    st.sampled_from([None, "dim+2", "dim-2", "drop", "relabel", "unpair", "gcd-gap"]),
+    st.integers(0, 10**6),
+)
+def test_closure_decides_as_the_pairwise_gcd_check_did(spec, kind, pick):
+    if kind == "gcd-gap":
+        diagram = gcd_gapped(spec, pick)
+    else:
+        diagram = perturbed(orbit_strata(spec), kind, pick)
+    (outcome, message), (expected, _) = (
+        weights_or_error(recover, diagram)
+        for recover in (recover_weights, recover_with_pairwise_gcd_check)
+    )
+    assert outcome == expected
+    assert outcome is UncertifiedDiagram or kind != "gcd-gap"
+    named = re.fullmatch(r"no stratum has order (\d+), the gcd of (\d+) and (\d+)", message)
+    if named:
+        g, a, b = map(int, named.groups())
+        orders = {s.order for s in diagram.finite_strata}
+        assert g == math.gcd(a, b) and a < b and {a, b} <= orders and g not in orders
 
 
 wire_ids = st.sampled_from(["a", "b", "c", "z"])
