@@ -21,7 +21,9 @@ from .errors import (
     TooManyWeights,
     UncertifiedDiagram,
 )
-from .stratification import StratificationDiagram, _difference, _labels, _spec_labels, orbit_strata
+from .stratification import (
+    INFINITE, StratificationDiagram, _difference, _labels, _spec_labels, orbit_strata
+)
 
 MAX_RECOVERED_WEIGHTS = 10**6  # no list of weights is built past this m
 
@@ -34,14 +36,23 @@ def infer_dimensions(diagram: StratificationDiagram) -> tuple[int, int, int]:
     trivial factor is the dimension of the infinite-order stratum, and m
     is half their difference.
     """
-    infinite = [s for s in diagram.strata if s.is_distinguished]
+    return _read(diagram)[:3]
+
+
+def _read(diagram: StratificationDiagram) -> tuple:
+    """infer_dimensions' triple, then the finite strata, the distinguished stratum and
+    below_of[id], the ids that the closure puts below id."""
+    finite, infinite = [], []
+    for s in diagram.strata:
+        (infinite if s.order == INFINITE else finite).append(s)
     if len(infinite) != 1:
         raise NoDistinguishedStratum(
             f"expected exactly one infinite-order stratum, found {len(infinite)}"
         )
-    finite = diagram.finite_strata
-    finite_ids = {s.id for s in finite}
-    lower = {a for a, b in diagram.closure if b in finite_ids}  # self-pairs bar a top too
+    below_of = {s.id: set() for s in diagram.strata}
+    for a, b in diagram.closure:
+        below_of[b].add(a)
+    lower = set().union(*[below_of[s.id] for s in finite])  # self-pairs bar a top too
     tops = [s for s in finite if s.id not in lower]
     if len(tops) != 1:
         raise MalformedDiagram(f"expected exactly one top stratum, found {len(tops)}")
@@ -58,7 +69,7 @@ def infer_dimensions(diagram: StratificationDiagram) -> tuple[int, int, int]:
             f"n - trivial_dim = {n - trivial_dim} is odd; "
             "not an orbit space of a linear circle action"
         )
-    return n, trivial_dim, (n - trivial_dim) // 2
+    return n, trivial_dim, (n - trivial_dim) // 2, finite, infinite[0], below_of
 
 
 def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
@@ -76,30 +87,26 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
     difference raises UncertifiedDiagram: a diagram is accepted exactly
     when some effective linear circle action produces it.
     """
-    n, trivial_dim, m = infer_dimensions(diagram)
+    n, trivial_dim, m, finite, distinguished, below_of = _read(diagram)
     if m > MAX_RECOVERED_WEIGHTS:
         raise TooManyWeights(
             f"diagram claims m = {m} weights, past the bound of {MAX_RECOVERED_WEIGHTS}"
         )
-    finite = diagram.finite_strata
     if any(not isinstance(s.order, int) or s.order < 1 for s in finite):
         raise MalformedDiagram("finite strata must carry positive integer orders")
 
     ranked = sorted(finite, key=lambda s: s.order)
-    # the fixed points carry no weight
-    own = {s.id: 0 for s in diagram.strata if s.is_distinguished}
-    below_of = {s.id: set() for s in diagram.strata}
-    for a, b in diagram.closure:
-        below_of[b].add(a)
+    own = {distinguished.id: 0}  # the fixed points carry no weight
     for s in reversed(ranked):
         codim = n - 1 - s.dim
         if codim % 2 != 0:
             raise ParityError(f"stratum {s.id!r} has odd codimension {codim}")
         below = below_of[s.id]
-        if not below <= own.keys():
-            uncounted = sorted(below - own.keys())
-            raise MalformedDiagram(f"{uncounted[0]!r} lies below {s.id!r} without a larger order")
-        count = m - codim // 2 - sum(own[b] for b in below)
+        try:
+            count = m - codim // 2 - sum(map(own.__getitem__, below))
+        except KeyError:  # a stratum below s is not yet counted
+            why = f"{min(below - own.keys())!r} lies below {s.id!r} without a larger order"
+            raise MalformedDiagram(why) from None
         if count < 0:
             raise NegativeMultiplicity(f"stratum {s.id!r} would carry {count} weights")
         own[s.id] = count

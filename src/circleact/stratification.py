@@ -55,7 +55,8 @@ class StratificationDiagram:
 
     `closure` holds strict pairs (below, above); the partial order itself is
     the reflexive hull.  The wire format deliberately omits face data so
-    that consumers of the JSON see only abstract strata.
+    that consumers of the JSON see only abstract strata.  The public constructor
+    and `from_json` check ids and closure pairs; `orbit_strata` skips the checks.
     """
 
     ambient_dim: int
@@ -85,10 +86,10 @@ class StratificationDiagram:
         return {
             "ambient_dim": self.ambient_dim,
             "strata": [
-                {"id": s.id, "order": s.wire_order, "dim": s.dim}
+                {"id": s.id, "order": "inf" if s.order == INFINITE else s.order, "dim": s.dim}
                 for s in self.strata
             ],
-            "closure": sorted([a, b] for a, b in self.closure),
+            "closure": [[a, b] for a, b in sorted(self.closure)],
         }
 
     @classmethod
@@ -103,14 +104,12 @@ class StratificationDiagram:
             and all(isinstance(pair, list) and len(pair) == 2 for pair in closure)
         ):
             raise MalformedDiagram("expected strata [{id, order, dim}], closure [[below, above]]")
-        strata = tuple(
-            Stratum(
-                str(e["id"]),
-                INFINITE if e.get("order") == "inf" else _diagram_int(e.get("order"), "order"),
-                _diagram_int(e.get("dim"), "dim"),
-            )
-            for e in entries
-        )
+        strata = tuple(_trusted(
+            Stratum,
+            id=str(e["id"]),
+            order=INFINITE if e.get("order") == "inf" else _diagram_int(e.get("order"), "order"),
+            dim=_diagram_int(e.get("dim"), "dim"),
+        ) for e in entries)
         pairs = frozenset((str(a), str(b)) for a, b in closure)
         return cls(_diagram_int(data.get("ambient_dim"), "ambient_dim"), strata, pairs)
 
@@ -123,6 +122,13 @@ class StratificationDiagram:
             lines.append(f"  {_dot_string(a)} -> {_dot_string(b)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` from values known to be valid, unchecked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _diagram_int(value, name: str) -> int:
@@ -155,22 +161,22 @@ def face_table(spec: ActionSpec) -> list[FaceClass]:
 
 
 def _strata(spec: ActionSpec, within: set | None = None) -> tuple[dict, list[tuple[int, int]]]:
-    """Finite strata as {order: dim} by increasing order; pairs (e, d), e < d, e divides d.
+    """Finite strata as {order: dim} by increasing order; closure pairs (d, e), e < d, e | d.
     A gcd outside `within` (orders holding the weights, if given) raises before it joins."""
     counts = Counter(spec.weights)  # work over the distinct weights, not all m
     orders: set[int] = set()
     for w in counts:
-        new = {w, *map(math.gcd, repeat(w, len(orders)), orders)}
+        new = {w, *map(math.gcd, repeat(w), orders)}
         if within is not None and not new <= within:
             a, b = min(sorted((w, o)) for o in orders if math.gcd(w, o) not in within)
             g = math.gcd(a, b)
             raise UncertifiedDiagram(f"no stratum has order {g}, the gcd of {a} and {b}")
         orders |= new
     ranked = sorted(orders)
-    pairs = [(e, d) for e, d in combinations(ranked, 2) if d % e == 0]
-    size = Counter(counts)  # size[e] = #{j : e divides w_j}
-    for e, d in pairs:
-        size[e] += counts[d]
+    pairs = [(d, e) for e, d in combinations(ranked, 2) if d % e == 0]
+    size = {**dict.fromkeys(ranked, 0), **counts}  # size[e] = #{j : e divides w_j}
+    for d, e in pairs:
+        size[e] += counts.get(d, 0)  # not counts[d]: Counter.__missing__ runs in Python
     return {d: spec.trivial_dim - 1 + 2 * size[d] for d in ranked}, pairs
 
 
@@ -181,14 +187,17 @@ def orbit_strata(spec: ActionSpec) -> StratificationDiagram:
     The faces of order d have the unique maximal face {j : d divides w_j},
     so that stratum has dim t + 2 #{j : d divides w_j} - 1.  Between finite
     strata, stratum_d lies below stratum_e iff e divides d; the distinguished
-    stratum lies below everything.
+    stratum lies below everything.  The diagram is valid by construction, so it
+    is built without the checks that the public constructor and `from_json` make.
     """
     dims, pairs = _strata(spec)
     ids = {d: f"order:{d}" for d in dims}
-    strata = [Stratum(i, d, dims[d]) for d, i in ids.items()]
-    strata.append(Stratum(DISTINGUISHED_ID, INFINITE, spec.trivial_dim))
-    closure = {(DISTINGUISHED_ID, i) for i in ids.values()} | {(ids[d], ids[e]) for e, d in pairs}
-    return StratificationDiagram(spec.n, tuple(strata), frozenset(closure))
+    strata = [_trusted(Stratum, id=ids[d], order=d, dim=dim) for d, dim in dims.items()]
+    strata.append(_trusted(Stratum, id=DISTINGUISHED_ID, order=INFINITE, dim=spec.trivial_dim))
+    closure = [*zip(repeat(DISTINGUISHED_ID), ids.values()), *((ids[d], ids[e]) for d, e in pairs)]
+    return _trusted(
+        StratificationDiagram, ambient_dim=spec.n, strata=tuple(strata), closure=frozenset(closure)
+    )
 
 
 def diagram_difference(a: StratificationDiagram, b: StratificationDiagram) -> str | None:
@@ -221,16 +230,16 @@ def _labels(d: StratificationDiagram) -> tuple[int, list, set]:
 def _spec_labels(spec: ActionSpec, within: set | None = None) -> tuple[int, list, set]:
     """_labels(orbit_strata(spec)), without building the diagram; `within` as in _strata."""
     dims, pairs = _strata(spec, within)
-    closure = {(INFINITE, d) for d in dims} | {(d, e) for e, d in pairs}
+    closure = {*zip(repeat(INFINITE), dims), *pairs}
     return spec.n, [*dims.items(), (INFINITE, spec.trivial_dim)], closure
 
 
 def hasse_edges(diagram: StratificationDiagram) -> set[tuple[str, str]]:
     """Closure pairs (below, above) of finite strata with none strictly between."""
-    finite_ids = {s.id for s in diagram.finite_strata}
+    finite_ids = {s.id for s in diagram.strata if s.order != INFINITE}
     above, below = ({i: set() for i in finite_ids} for _ in range(2))
     for a, b in diagram.closure:
         if a in finite_ids and b in finite_ids:
             above[a].add(b)
             below[b].add(a)
-    return {(a, b) for a in finite_ids for b in above[a] if above[a].isdisjoint(below[b])}
+    return {(a, b) for a, up in above.items() for b in up if up.isdisjoint(below[b])}

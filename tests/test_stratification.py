@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -188,6 +189,30 @@ def test_orbit_strata_equals_the_face_table_grouping(raw_weights, trivial):
     shared = math.gcd(*raw_weights)
     spec = ActionSpec(trivial, tuple(w // shared for w in raw_weights))
     assert orbit_strata(spec) == diagram_from_faces(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 60), min_size=1, max_size=8),
+    st.integers(0, 4),
+)
+def test_trusted_diagram_equals_the_checked_one(raw_weights, trivial):
+    # orbit_strata and from_json build strata and diagrams without the
+    # dataclass checks; the results must be the values the checks accept
+    shared = math.gcd(*raw_weights)
+    diagram = orbit_strata(ActionSpec(trivial, tuple(w // shared for w in raw_weights)))
+    checked = StratificationDiagram(diagram.ambient_dim, diagram.strata, diagram.closure)
+    assert diagram == checked
+    assert hash(diagram) == hash(checked)
+    parsed = StratificationDiagram.from_json(diagram.to_json())
+    assert parsed == diagram
+    for s in diagram.strata + parsed.strata:
+        assert s == Stratum(s.id, s.order, s.dim)
+        assert hash(s) == hash(Stratum(s.id, s.order, s.dim))
+        with pytest.raises(FrozenInstanceError):
+            s.dim = s.dim + 2
+    with pytest.raises(FrozenInstanceError):
+        diagram.closure = frozenset()
 
 
 def test_wide_action_stratifies_and_recovers():
