@@ -18,7 +18,6 @@ from .errors import (
     TooManyFaces,
     TooManyWeights,
     UncertifiedDiagram,
-    UnknownStratum,
 )
 from .invariants import (
     PART_ABS2,
@@ -44,7 +43,7 @@ from .numeric import (
     run_property_suite,
     same_orbit,
 )
-from .recovery import infer_dimensions, recover_weights, roundtrip
+from .recovery import recover_weights, roundtrip
 from .stratification import (
     DISTINGUISHED_ID,
     INFINITE,

@@ -40,10 +40,6 @@ class NotInvariant(CircleActionError):
     is required."""
 
 
-class UnknownStratum(CircleActionError):
-    """A stratum id that does not belong to the diagram."""
-
-
 class MalformedDiagram(CircleActionError):
     """A stratification diagram that cannot have come from an effective
     linear circle action."""

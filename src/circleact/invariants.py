@@ -71,10 +71,6 @@ class ExponentVector:
         """Concatenated exponent tuple; the canonical sort key."""
         return self.holomorphic + self.antiholomorphic
 
-    def dominates(self, other: "ExponentVector") -> bool:
-        """Componentwise >=."""
-        return all(a >= b for a, b in zip(self.key(), other.key()))
-
     def to_json(self) -> dict:
         return {"k": list(self.holomorphic), "kbar": list(self.antiholomorphic)}
 

@@ -104,7 +104,9 @@ def check_m2_membership(
 
     The image in R^4 is cut out by y1 >= 0, y2 >= 0 and
     y3^2 + y4^2 = y1^alpha2 * y2^alpha1; all comparisons are taken within
-    tol (the equation relative to 1 + the monomial's magnitude).
+    tol (the equation relative to 1 + the monomial's magnitude).  A point
+    with a non-finite coordinate is not in the image; where either side of
+    the equation leaves the float range, the same test is decided on logarithms.
     """
     if alpha1 < 1 or alpha2 < 1:
         raise ValueError("weights must be positive")
@@ -113,11 +115,31 @@ def check_m2_membership(
     if len(y) != 4:
         raise ValueError(f"expected 4 image coordinates, got {len(y)}")
     y1, y2, y3, y4 = (float(v) for v in y)
-    if y1 < -tol or y2 < -tol:
+    if not all(map(math.isfinite, (y1, y2, y3, y4))) or y1 < -tol or y2 < -tol:
         return False
-    rhs = y1**alpha2 * y2**alpha1
+    lhs = y3 * y3 + y4 * y4
+    try:
+        rhs = y1**alpha2 * y2**alpha1
+    except OverflowError:
+        rhs = math.inf
+    if math.isinf(lhs) or math.isinf(rhs):
+        return _m2_relation_on_logs(alpha1, alpha2, (y1, y2, y3, y4), tol)
     scale = 1.0 + abs(y1) ** alpha2 * abs(y2) ** alpha1
-    return abs(y3 * y3 + y4 * y4 - rhs) <= tol * scale
+    return abs(lhs - rhs) <= tol * scale
+
+
+def _m2_relation_on_logs(alpha1: int, alpha2: int, y: tuple[float, ...], tol: float) -> bool:
+    """|lhs - rhs| <= tol * (1 + |rhs|) for lhs = y3^2 + y4^2 and
+    rhs = y1^alpha2 * y2^alpha1, both read as logarithms of magnitudes and
+    divided by e^top, the largest of lhs, |rhs| and 1, so that nothing overflows."""
+    y1, y2, y3, y4 = y
+    big, small = sorted((abs(y3), abs(y4)), reverse=True)
+    log_lhs = 2 * math.log(big) + math.log1p((small / big) ** 2) if big else -math.inf
+    log_rhs = alpha2 * math.log(abs(y1)) + alpha1 * math.log(abs(y2)) if y1 and y2 else -math.inf
+    sign = -1.0 if (y1 < 0 and alpha2 % 2 == 1) != (y2 < 0 and alpha1 % 2 == 1) else 1.0
+    top = max(log_lhs, log_rhs, 0.0)
+    lhs, rhs = math.exp(log_lhs - top), sign * math.exp(log_rhs - top)
+    return abs(lhs - rhs) <= tol * (math.exp(-top) + abs(rhs))
 
 
 # ---------------------------------------------------------------------------

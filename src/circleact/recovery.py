@@ -22,34 +22,39 @@ from .errors import (
     UncertifiedDiagram,
 )
 from .stratification import (
-    INFINITE, StratificationDiagram, _difference, _labels, _spec_labels, orbit_strata
+    INFINITE, StratificationDiagram, _diagram_int, _difference, _labels, _spec_labels, orbit_strata
 )
 
 MAX_RECOVERED_WEIGHTS = 10**6  # no list of weights is built past this m
 
 
-def infer_dimensions(diagram: StratificationDiagram) -> tuple[int, int, int]:
-    """Read (n, trivial_dim, m) off the diagram.
+def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
+    """Extract the weight multiset from an abstract diagram.
 
-    The ambient representation dimension n is one more than the top
-    stratum's dimension and must equal the diagram's ambient_dim, the
-    trivial factor is the dimension of the infinite-order stratum, and m
-    is half their difference.
+    The ambient dimension n is one more than the top stratum's dimension and
+    must equal the diagram's ambient_dim, the trivial dimension t is the
+    infinite-order stratum's, and m = (n - t) / 2.  For each finite stratum
+    S of codimension c (relative to the top stratum), the simplex face it
+    realizes has m - c/2 vertices.  The
+    vertices not claimed by strictly smaller strata belong to S itself,
+    each contributing one copy of S's isotropy order.  In a diagram of an
+    action every stratum strictly below S has a proper multiple of S's
+    order, so one pass by decreasing order counts them before S.  The
+    recovered action's strata are then computed on orders, their gcd
+    closure kept inside the input's orders, and compared with the input by
+    diagram_difference's helper; a gcd outside those orders or any
+    difference raises UncertifiedDiagram: a diagram is accepted exactly
+    when some effective linear circle action produces it.
     """
-    return _read(diagram)[:3]
-
-
-def _read(diagram: StratificationDiagram) -> tuple:
-    """infer_dimensions' triple, then the finite strata, the distinguished stratum and
-    below_of[id], the ids that the closure puts below id."""
     finite, infinite = [], []
     for s in diagram.strata:
+        _diagram_int(s.dim, "dim")
         (infinite if s.order == INFINITE else finite).append(s)
     if len(infinite) != 1:
         raise NoDistinguishedStratum(
             f"expected exactly one infinite-order stratum, found {len(infinite)}"
         )
-    below_of = {s.id: set() for s in diagram.strata}
+    below_of = {s.id: set() for s in diagram.strata}  # the ids that the closure puts below id
     for a, b in diagram.closure:
         below_of[b].add(a)
     lower = set().union(*[below_of[s.id] for s in finite])  # self-pairs bar a top too
@@ -57,7 +62,7 @@ def _read(diagram: StratificationDiagram) -> tuple:
     if len(tops) != 1:
         raise MalformedDiagram(f"expected exactly one top stratum, found {len(tops)}")
     n = tops[0].dim + 1
-    if diagram.ambient_dim != n:
+    if _diagram_int(diagram.ambient_dim, "ambient_dim") != n:
         raise MalformedDiagram(f"ambient_dim {diagram.ambient_dim} != top stratum dim + 1 = {n}")
     trivial_dim = infinite[0].dim
     if trivial_dim < 0:
@@ -69,34 +74,16 @@ def _read(diagram: StratificationDiagram) -> tuple:
             f"n - trivial_dim = {n - trivial_dim} is odd; "
             "not an orbit space of a linear circle action"
         )
-    return n, trivial_dim, (n - trivial_dim) // 2, finite, infinite[0], below_of
-
-
-def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
-    """Extract the weight multiset from an abstract diagram.
-
-    For each finite stratum S of codimension c (relative to the top
-    stratum), the simplex face it realizes has m - c/2 vertices.  The
-    vertices not claimed by strictly smaller strata belong to S itself,
-    each contributing one copy of S's isotropy order.  In a diagram of an
-    action every stratum strictly below S has a proper multiple of S's
-    order, so one pass by decreasing order counts them before S.  The
-    recovered action's strata are then computed on orders, their gcd
-    closure kept inside the input's orders, and compared with the input by
-    diagram_difference's helper; a gcd outside those orders or any
-    difference raises UncertifiedDiagram: a diagram is accepted exactly
-    when some effective linear circle action produces it.
-    """
-    n, trivial_dim, m, finite, distinguished, below_of = _read(diagram)
+    m = (n - trivial_dim) // 2
     if m > MAX_RECOVERED_WEIGHTS:
         raise TooManyWeights(
             f"diagram claims m = {m} weights, past the bound of {MAX_RECOVERED_WEIGHTS}"
         )
-    if any(not isinstance(s.order, int) or s.order < 1 for s in finite):
+    if any(type(s.order) is not int or s.order < 1 for s in finite):
         raise MalformedDiagram("finite strata must carry positive integer orders")
 
     ranked = sorted(finite, key=lambda s: s.order)
-    own = {distinguished.id: 0}  # the fixed points carry no weight
+    own = {infinite[0].id: 0}  # the fixed points carry no weight
     for s in reversed(ranked):
         codim = n - 1 - s.dim
         if codim % 2 != 0:

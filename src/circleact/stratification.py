@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 
 from .action import ActionSpec
-from .errors import MalformedDiagram, TooManyFaces, UncertifiedDiagram, UnknownStratum
+from .errors import MalformedDiagram, TooManyFaces, UncertifiedDiagram
 
 DISTINGUISHED_ID = "distinguished"
 INFINITE = math.inf
@@ -40,13 +40,9 @@ class Stratum:
     dim: int
 
     @property
-    def is_distinguished(self) -> bool:
-        return self.order == INFINITE
-
-    @property
     def wire_order(self) -> int | str:
         """The order as the wire format spells it, "inf" for infinite."""
-        return "inf" if self.is_distinguished else self.order
+        return "inf" if self.order == INFINITE else self.order
 
 
 @dataclass(frozen=True)
@@ -71,16 +67,6 @@ class StratificationDiagram:
         if unknown:
             a, b = min(unknown)
             raise MalformedDiagram(f"closure pair ({a}, {b}) names unknown strata")
-
-    def stratum(self, stratum_id: str) -> Stratum:
-        for s in self.strata:
-            if s.id == stratum_id:
-                return s
-        raise UnknownStratum(f"no stratum with id {stratum_id!r}")
-
-    @property
-    def finite_strata(self) -> tuple[Stratum, ...]:
-        return tuple(s for s in self.strata if not s.is_distinguished)
 
     def to_json(self) -> dict:
         return {

@@ -239,6 +239,22 @@ def test_m2_membership_golden_points():
     assert not check_m2_membership(1, 2, (1.0, 1.0, 1.0, 1.0), 1e-9)
 
 
+@pytest.mark.parametrize(
+    "alpha1,alpha2,y,member",
+    [
+        (1, 2, (4.0, 1.0, 4.0, 0.0), True),
+        (1, 2, (1e200, 1.0, 1e200, 0.0), True),
+        (1, 1, (1e200, 1e200, 1e200, 0.0), True),
+        (1, 2000, (2.0, 2.0, 0.0, 0.0), False),
+        (1, 1, (1e200, 1e200, 0.0, 0.0), False),
+        (2, 1, (2.0, math.inf, 0.0, 0.0), False),
+    ],
+    ids=["small", "power-overflows", "both-overflow", "far-off", "product-is-inf", "inf"],
+)
+def test_m2_membership_past_the_float_range(alpha1, alpha2, y, member):
+    assert check_m2_membership(alpha1, alpha2, y, 1e-9) is member
+
+
 def test_m2_membership_rejects_negative_first_coordinates():
     assert not check_m2_membership(1, 2, (-1.0, 1.0, 0.0, 0.0), 1e-9)
     assert not check_m2_membership(1, 2, (1.0, -0.5, 0.0, 0.0), 1e-9)

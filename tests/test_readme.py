@@ -55,6 +55,7 @@ def test_readme_cli_examples_print_what_the_readme_shows():
     commands = {" ".join(command.split()) for command, _ in examples}
     assert commands >= {
         "circleact invariants --weights 1,2",
+        "circleact invariants --weights=-3,5",
         "circleact stratify --weights 2,2,3,4,6 --format json"
         " | circleact recover --diagram - --format json",
         "circleact roundtrip --weights 7,11,13",

@@ -30,7 +30,6 @@ from circleact import (
     UncertifiedDiagram,
     canonicalize,
     diagram_difference,
-    infer_dimensions,
     orbit_strata,
     recover_weights,
     roundtrip,
@@ -56,32 +55,38 @@ def abstract(ambient_dim, strata, closure):
 
 
 # ---------------------------------------------------------------------------
-# infer_dimensions
+# dimensions read off the diagram: n = ambient_dim, m = len(weights), t = n - 2m
 # ---------------------------------------------------------------------------
 
 
+def dimensions(diagram):
+    """(n, trivial_dim, m) of the action that recover_weights certified."""
+    m = len(recover_weights(diagram))
+    return diagram.ambient_dim, diagram.ambient_dim - 2 * m, m
+
+
 def test_infer_dimensions_weights_1_2_3():
-    assert infer_dimensions(diagram_of((1, 2, 3))) == (6, 0, 3)
+    assert dimensions(diagram_of((1, 2, 3))) == (6, 0, 3)
 
 
 def test_infer_dimensions_weights_2_2_3_4_6():
-    assert infer_dimensions(diagram_of((2, 2, 3, 4, 6))) == (10, 0, 5)
+    assert dimensions(diagram_of((2, 2, 3, 4, 6))) == (10, 0, 5)
 
 
 def test_infer_dimensions_with_trivial_factor():
-    assert infer_dimensions(diagram_of((1,), trivial_dim=2)) == (4, 2, 1)
+    assert dimensions(diagram_of((1,), trivial_dim=2)) == (4, 2, 1)
 
 
 def test_infer_dimensions_requires_distinguished_stratum():
     with pytest.raises(NoDistinguishedStratum):
-        infer_dimensions(
+        recover_weights(
             abstract(2, [("order:1", 1, 1)], [])
         )
 
 
 def test_infer_dimensions_rejects_two_infinite_strata():
     with pytest.raises(NoDistinguishedStratum):
-        infer_dimensions(
+        recover_weights(
             abstract(
                 4,
                 [("order:1", 1, 3), ("a", "inf", 0), ("b", "inf", 1)],
@@ -92,7 +97,7 @@ def test_infer_dimensions_rejects_two_infinite_strata():
 
 def test_infer_dimensions_rejects_odd_difference():
     with pytest.raises(ParityError):
-        infer_dimensions(
+        recover_weights(
             abstract(
                 5,
                 [("order:1", 1, 4), ("distinguished", "inf", 0)],
@@ -103,7 +108,7 @@ def test_infer_dimensions_rejects_odd_difference():
 
 def test_infer_dimensions_requires_unique_top():
     with pytest.raises(MalformedDiagram):
-        infer_dimensions(
+        recover_weights(
             abstract(
                 6,
                 [
@@ -207,8 +212,7 @@ def test_roundtrip_exhaustive_tiny():
 def test_recovered_count_always_matches_m():
     for weights in [(1,), (1, 1), (2, 3), (2, 2, 3, 4, 6), (4, 6, 9), (6, 10, 15)]:
         diagram = diagram_of(weights)
-        _, _, m = infer_dimensions(diagram)
-        assert len(recover_weights(diagram)) == m == len(weights)
+        assert dimensions(diagram) == (2 * len(weights), 0, len(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +371,6 @@ def test_closure_cycle_rejected():
 def test_negative_distinguished_dim_rejected():
     diagram = abstract(4, [("a", 1, 3), ("z", "inf", -2)], [("z", "a")])
     with pytest.raises(MalformedDiagram, match="negative dim -2"):
-        infer_dimensions(diagram)
-    with pytest.raises(MalformedDiagram, match="negative dim -2"):
         recover_weights(diagram)
 
 
@@ -379,6 +381,30 @@ def test_library_built_fractional_order_is_a_malformed_diagram():
         frozenset({("a", "t"), ("z", "t"), ("z", "a")}),
     )
     with pytest.raises(MalformedDiagram, match="positive integer orders"):
+        recover_weights(diagram)
+
+
+@pytest.mark.parametrize(
+    "ambient_dim,order,dim,trivial_dim,message",
+    [
+        (3, 1, 2.0, 1, "dim must be an integer, got 2.0"),
+        (3, 1, "2", 1, "dim must be an integer, got '2'"),
+        (3, 1, 2, True, "dim must be an integer, got True"),
+        (3.0, 1, 2, 1, "ambient_dim must be an integer, got 3.0"),
+        (3, True, 2, 1, "finite strata must carry positive integer orders"),
+    ],
+    ids=["float-dim", "str-dim", "bool-dim", "float-ambient-dim", "bool-order"],
+)
+def test_library_built_diagram_obeys_the_wire_int_rule(
+    ambient_dim, order, dim, trivial_dim, message
+):
+    # the diagram of weights (1,) on R x C, one number off the exact-int rule
+    diagram = StratificationDiagram(
+        ambient_dim,
+        (Stratum("a", order, dim), Stratum("z", INFINITE, trivial_dim)),
+        frozenset({("z", "a")}),
+    )
+    with pytest.raises(MalformedDiagram, match=re.escape(message) + "$"):
         recover_weights(diagram)
 
 
@@ -502,7 +528,7 @@ def test_every_accepted_diagram_is_the_diagram_of_its_answer(diagram):
         weights = recover_weights(diagram)
     except (MalformedDiagram, NotEffective):
         return
-    trivial_dim = infer_dimensions(diagram)[1]
+    trivial_dim = diagram.ambient_dim - 2 * len(weights)
     assert diagram_difference(diagram, orbit_strata(ActionSpec(trivial_dim, weights))) is None
 
 
@@ -610,11 +636,11 @@ def gcd_gapped(spec, pick):
     orders that the weights' own diagram lacks: so the inserted order's gcd
     with an existing order (or with the other inserted one) has no stratum,
     while every stratum still counts its weights as in an action's diagram."""
-    orders = {s.order for s in orbit_strata(spec).finite_strata}
+    orders = {s.order for s in orbit_strata(spec).strata} - {INFINITE}
     gaps = sorted({g for e in orders for g in range(2, e) if e % g == 0} - orders)
     extra = {31 * gaps[pick % len(gaps)]} if gaps else {31 * 37, 31 * 41}
     grown = orbit_strata(ActionSpec(spec.trivial_dim, spec.weights + tuple(extra)))
-    kept = {s.id for s in grown.strata if s.is_distinguished or s.order in orders | extra}
+    kept = {s.id for s in grown.strata if s.order in orders | extra | {INFINITE}}
     return StratificationDiagram(
         grown.ambient_dim,
         tuple(s for s in grown.strata if s.id in kept),
@@ -665,7 +691,7 @@ def test_closure_decides_as_the_pairwise_gcd_check_did(spec, kind, pick):
     named = re.fullmatch(r"no stratum has order (\d+), the gcd of (\d+) and (\d+)", message)
     if named:
         g, a, b = map(int, named.groups())
-        orders = {s.order for s in diagram.finite_strata}
+        orders = {s.order for s in diagram.strata} - {INFINITE}
         assert g == math.gcd(a, b) and a < b and {a, b} <= orders and g not in orders
 
 

@@ -17,10 +17,8 @@ from circleact import (
     StratificationDiagram,
     Stratum,
     TooManyFaces,
-    UnknownStratum,
     face_table,
     hasse_edges,
-    infer_dimensions,
     orbit_strata,
     recover_weights,
 )
@@ -174,8 +172,9 @@ def test_strata_faces_partition_the_face_table(weights):
     diagram = orbit_strata(spec)
     groups = faces_by_order(spec)
     # every face's gcd is a stratum order, and every stratum order is some face's gcd
-    assert sorted(groups) == [s.order for s in diagram.finite_strata]
-    for s in diagram.finite_strata:
+    finite = [s for s in diagram.strata if s.order != INFINITE]
+    assert sorted(groups) == [s.order for s in finite]
+    for s in finite:
         largest = max(groups[s.order], key=len)
         assert s.dim == spec.trivial_dim + 2 * len(largest) - 1
 
@@ -228,12 +227,13 @@ def test_wide_action_stratifies_and_recovers():
 def test_dimension_bookkeeping(weights, trivial):
     spec = ActionSpec(trivial, weights)
     diagram = orbit_strata(spec)
-    top = diagram.stratum("order:1")
-    assert top.dim == spec.n - 1
-    for s in diagram.finite_strata:
-        assert (top.dim - s.dim) % 2 == 0
-        assert s.dim >= spec.trivial_dim
-    assert [s.dim for s in diagram.strata if s.is_distinguished] == [spec.trivial_dim]
+    dims = {s.id: s.dim for s in diagram.strata}
+    assert dims["order:1"] == spec.n - 1
+    for s in diagram.strata:
+        if s.order != INFINITE:
+            assert (dims["order:1"] - s.dim) % 2 == 0
+            assert s.dim >= spec.trivial_dim
+    assert [s.dim for s in diagram.strata if s.order == INFINITE] == [spec.trivial_dim]
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +267,8 @@ def test_strata_weights_1_2_3():
 
 def test_strata_weights_2_2_3_4_6():
     diagram = orbit_strata(ActionSpec(0, (2, 2, 3, 4, 6)))
-    top_dim = diagram.stratum("order:1").dim
-    codims = {s.id: top_dim - s.dim for s in diagram.finite_strata}
+    dims = {s.id: s.dim for s in diagram.strata if s.order != INFINITE}
+    codims = {i: dims["order:1"] - dim for i, dim in dims.items()}
     assert codims == {
         "order:1": 0,
         "order:2": 2,
@@ -293,27 +293,17 @@ def test_strata_group_memberships_match_worked_example():
     assert groups[6] == [frozenset({5})]
     assert len(groups[1]) == 14
     assert len(groups[2]) == 13
-    assert sorted(groups) == [s.order for s in orbit_strata(spec).finite_strata]
+    assert sorted(groups) == [s.order for s in orbit_strata(spec).strata if s.order != INFINITE]
 
 
 def test_trivial_factor_only_shifts_dimensions():
     flat = orbit_strata(ActionSpec(0, (2, 3)))
     lifted = orbit_strata(ActionSpec(4, (2, 3)))
     assert {s.id for s in flat.strata} == {s.id for s in lifted.strata}
+    lifted_dims = {s.id: s.dim for s in lifted.strata}
     for s in flat.strata:
-        assert lifted.stratum(s.id).dim == s.dim + 4
+        assert lifted_dims[s.id] == s.dim + 4
     assert hasse_edges(flat) == hasse_edges(lifted)
-
-
-# ---------------------------------------------------------------------------
-# stratum lookup
-# ---------------------------------------------------------------------------
-
-
-def test_stratum_rejects_an_unknown_id():
-    diagram = orbit_strata(ActionSpec(0, (1, 2)))
-    with pytest.raises(UnknownStratum):
-        diagram.stratum("order:17")
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +417,13 @@ def scan_above(diagram, stratum_id):
 
 
 def scan_maximal_finite(diagram):
-    finite_ids = {s.id for s in diagram.finite_strata}
-    return [s for s in diagram.finite_strata if not (scan_above(diagram, s.id) & finite_ids)]
+    finite = [s for s in diagram.strata if s.order != INFINITE]
+    finite_ids = {s.id for s in finite}
+    return [s for s in finite if not (scan_above(diagram, s.id) & finite_ids)]
 
 
 def scan_hasse_edges(diagram):
-    finite_ids = {s.id for s in diagram.finite_strata}
+    finite_ids = {s.id for s in diagram.strata if s.order != INFINITE}
     strict = {(a, b) for a, b in diagram.closure if a in finite_ids and b in finite_ids}
     return {
         (a, b)
@@ -461,7 +452,7 @@ def test_closure_index_agrees_with_closure_scans(finite_count, pairs):
     # always passes the top rule and names itself in the next refusal
     message = f"top stratum, found {len(tops)}" if len(tops) != 1 else f"= {tops[0].dim + 1}"
     with pytest.raises(MalformedDiagram, match=message + "$"):
-        infer_dimensions(diagram)
+        recover_weights(diagram)
     assert hasse_edges(diagram) == scan_hasse_edges(diagram)
 
 
