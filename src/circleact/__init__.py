@@ -12,7 +12,6 @@ from .errors import (
     NoDistinguishedStratum,
     NotCoprime,
     NotEffective,
-    NotInvariant,
     ParityError,
     TooManyCandidates,
     TooManyFaces,
@@ -25,11 +24,7 @@ from .invariants import (
     PART_RE,
     ExponentVector,
     InvariantGenerator,
-    abs2_exponent,
-    circle_weight,
-    decompose,
     hilbert_basis,
-    is_invariant_exponent,
     realize_generators,
 )
 from .numeric import (

@@ -35,11 +35,6 @@ class TooManyCandidates(CircleActionError):
     conjugate pairs than the bound on grown vectors."""
 
 
-class NotInvariant(CircleActionError):
-    """An exponent vector with nonzero rotation weight where an invariant one
-    is required."""
-
-
 class MalformedDiagram(CircleActionError):
     """A stratification diagram that cannot have come from an effective
     linear circle action."""

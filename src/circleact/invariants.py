@@ -10,14 +10,12 @@ one representative for each conjugate pair.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
-from operator import attrgetter, ge, itemgetter, sub
+from operator import attrgetter, itemgetter
 
 from .action import ActionSpec, integers
-from .errors import LengthMismatch, NotInvariant, TooManyCandidates
+from .errors import LengthMismatch, TooManyCandidates
 
 PART_ABS2 = "abs2"
 PART_RE = "re"
@@ -63,23 +61,8 @@ class ExponentVector:
         _set_kbar(e, kbar)
         return e
 
-    def conjugate(self) -> "ExponentVector":
-        """Swap holomorphic and antiholomorphic exponents."""
-        return ExponentVector(self.antiholomorphic, self.holomorphic)
-
-    def key(self) -> tuple[int, ...]:
-        """Concatenated exponent tuple; the canonical sort key."""
-        return self.holomorphic + self.antiholomorphic
-
     def to_json(self) -> dict:
         return {"k": list(self.holomorphic), "kbar": list(self.antiholomorphic)}
-
-
-def abs2_exponent(m: int, j: int) -> ExponentVector:
-    """Exponent vector of |z_j|^2 (1-based j) in m complex coordinates;
-    acceptance criterion 6 finds each one in the basis."""
-    unit = tuple(1 if i == j - 1 else 0 for i in range(m))
-    return ExponentVector(unit, unit)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,26 +100,6 @@ class InvariantGenerator:
 # Frozen-slot setters, bound once: a per-object lookup costs most of what _trusted saves.
 _set_k, _set_kbar = ExponentVector.holomorphic.__set__, ExponentVector.antiholomorphic.__set__
 _set_exponents, _set_part = InvariantGenerator.exponents.__set__, InvariantGenerator.part.__set__
-
-
-def _check_length(spec: ActionSpec, e: ExponentVector) -> None:
-    if e.m != spec.m:
-        raise LengthMismatch(f"exponent vector has {e.m} coordinates, action has {spec.m}")
-
-
-def circle_weight(spec: ActionSpec, e: ExponentVector) -> int:
-    """Rotation weight sum_j alpha_j * (k_j - kbar_j) of the monomial."""
-    _check_length(spec, e)
-    return sum(
-        a * (k - kbar)
-        for a, k, kbar in zip(spec.weights, e.holomorphic, e.antiholomorphic)
-    )
-
-
-def is_invariant_exponent(spec: ActionSpec, e: ExponentVector) -> bool:
-    """True iff the monomial with these exponents is circle-invariant;
-    acceptance criterion 6 checks every basis element with it."""
-    return circle_weight(spec, e) == 0
 
 
 def hilbert_basis(spec: ActionSpec) -> frozenset[ExponentVector]:
@@ -242,7 +205,10 @@ def _complete(
     k_j * kbar_j = 0 for each j, or it would dominate |z_j|^2.  So the rest
     of the basis is the set of nonzero signed vectors s = k - kbar with
     sum_j alpha_j * s_j = 0 that are minimal under conformal order
-    (|s_j| <= |t_j| with equal signs), found by a completion over them:
+    (|s_j| <= |t_j| with equal signs).  That set is the Graver basis of the
+    1 x m matrix (alpha): Sturmfels, *Groebner Bases and Convex Polytopes*
+    (1996), ch. 4; for alpha = (1, ..., n), Diaconis, Graham and Sturmfels,
+    "Primitive partition identities" (1995).  It is found by a completion:
 
     - Half generation: only the member of each conjugate pair whose first
       nonzero entry s_j is positive is grown, from +e_j, stepping at
@@ -381,63 +347,3 @@ def realize_generators(basis: frozenset[ExponentVector]) -> list[InvariantGenera
         reps.sort(key=attrgetter(key))
     new = InvariantGenerator._trusted
     return abs2 + [new(e, part) for e in reps for part in (PART_RE, PART_IM)]
-
-
-@lru_cache(maxsize=8)
-def _search_order(basis: frozenset[ExponentVector]):
-    """What decompose needs of a basis, computed once per basis: the set of
-    coordinate counts of its elements, the nonzero elements by decreasing
-    degree, and their concatenated exponent tuples.
-    """
-    lengths = frozenset(b.m for b in basis)
-    elems = tuple(sorted((b for b in basis if b.degree), key=lambda b: (-b.degree, b.key())))
-    return lengths, elems, tuple(b.key() for b in elems)
-
-
-def decompose(
-    spec: ActionSpec,
-    e: ExponentVector,
-    basis: frozenset[ExponentVector],
-) -> Counter | None:
-    """Write an invariant exponent vector as a sum of basis elements.
-
-    Exhaustive depth-first search, so a None result means no decomposition
-    exists.  Returns a Counter mapping basis elements to multiplicities
-    (empty for the zero vector).  Raises :class:`NotInvariant` if `e` fails
-    the invariance criterion.  Acceptance criterion 6 decomposes every
-    invariant vector of small degree with it.
-
-    A zero basis element never changes what remains, so the search leaves
-    it out.  The `dead` memo bounds the work: the search fails at most once
-    from each (remaining, start) pair, where remaining <= e componentwise
-    and start indexes the basis, so there are at most
-    |basis| * prod_j (k_j + 1)(kbar_j + 1) such pairs, and each scans the
-    basis once.
-    """
-    rotation = circle_weight(spec, e)  # checks e's length
-    if rotation != 0:
-        raise NotInvariant(f"rotation weight {rotation} != 0")
-    lengths, elems, flats = _search_order(frozenset(basis))
-    if lengths - {spec.m}:
-        for b in basis:
-            _check_length(spec, b)
-
-    # (remaining, start) pairs from which no decomposition exists.
-    dead: set[tuple[tuple[int, ...], int]] = set()
-    # Frames (remaining, start, next index to try); a frame below the top
-    # has taken basis element next - 1 to reach the frame above it.
-    stack = [(e.key(), 0, 0)]
-    while stack:
-        remaining, start, idx = stack.pop()
-        if not any(remaining):
-            return Counter(elems[i - 1] for _, _, i in stack)
-        for idx in range(idx, len(flats)):
-            b = flats[idx]
-            if all(map(ge, remaining, b)):
-                rest = tuple(map(sub, remaining, b))
-                if (rest, idx) not in dead:
-                    stack += (remaining, start, idx + 1), (rest, idx, idx)
-                    break
-        else:
-            dead.add((remaining, start))
-    return None

@@ -22,7 +22,7 @@ from .errors import (
     UncertifiedDiagram,
 )
 from .stratification import (
-    INFINITE, StratificationDiagram, _diagram_int, _difference, _labels, _spec_labels, orbit_strata
+    INFINITE, StratificationDiagram, _difference, _labels, _spec_labels, orbit_strata
 )
 
 MAX_RECOVERED_WEIGHTS = 10**6  # no list of weights is built past this m
@@ -48,7 +48,6 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
     """
     finite, infinite = [], []
     for s in diagram.strata:
-        _diagram_int(s.dim, "dim")
         (infinite if s.order == INFINITE else finite).append(s)
     if len(infinite) != 1:
         raise NoDistinguishedStratum(
@@ -62,7 +61,7 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
     if len(tops) != 1:
         raise MalformedDiagram(f"expected exactly one top stratum, found {len(tops)}")
     n = tops[0].dim + 1
-    if _diagram_int(diagram.ambient_dim, "ambient_dim") != n:
+    if diagram.ambient_dim != n:
         raise MalformedDiagram(f"ambient_dim {diagram.ambient_dim} != top stratum dim + 1 = {n}")
     trivial_dim = infinite[0].dim
     if trivial_dim < 0:
@@ -79,7 +78,7 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
         raise TooManyWeights(
             f"diagram claims m = {m} weights, past the bound of {MAX_RECOVERED_WEIGHTS}"
         )
-    if any(type(s.order) is not int or s.order < 1 for s in finite):
+    if any(s.order < 1 for s in finite):
         raise MalformedDiagram("finite strata must carry positive integer orders")
 
     ranked = sorted(finite, key=lambda s: s.order)

@@ -51,8 +51,11 @@ class StratificationDiagram:
 
     `closure` holds strict pairs (below, above); the partial order itself is
     the reflexive hull.  The wire format deliberately omits face data so
-    that consumers of the JSON see only abstract strata.  The public constructor
-    and `from_json` check ids and closure pairs; `orbit_strata` skips the checks.
+    that consumers of the JSON see only abstract strata.  The public constructor,
+    and so `from_json`, holds a diagram to the wire format's rules: every order
+    is an exact int or the INFINITE object itself, every dim and the
+    ambient_dim an exact int, ids are distinct and closure pairs name known
+    strata.  `orbit_strata` skips the checks.
     """
 
     ambient_dim: int
@@ -60,6 +63,11 @@ class StratificationDiagram:
     closure: frozenset[tuple[str, str]]
 
     def __post_init__(self):
+        for s in self.strata:
+            if s.order is not INFINITE:  # not ==: a JSON Infinity is no wire order
+                _diagram_int(s.order, "order")
+            _diagram_int(s.dim, "dim")
+        _diagram_int(self.ambient_dim, "ambient_dim")
         ids = {s.id for s in self.strata}
         if len(ids) != len(self.strata):
             raise MalformedDiagram("duplicate stratum ids")
@@ -72,7 +80,7 @@ class StratificationDiagram:
         return {
             "ambient_dim": self.ambient_dim,
             "strata": [
-                {"id": s.id, "order": "inf" if s.order == INFINITE else s.order, "dim": s.dim}
+                {"id": s.id, "order": s.wire_order, "dim": s.dim}
                 for s in self.strata
             ],
             "closure": [[a, b] for a, b in sorted(self.closure)],
@@ -93,11 +101,11 @@ class StratificationDiagram:
         strata = tuple(_trusted(
             Stratum,
             id=str(e["id"]),
-            order=INFINITE if e.get("order") == "inf" else _diagram_int(e.get("order"), "order"),
-            dim=_diagram_int(e.get("dim"), "dim"),
+            order=INFINITE if e.get("order") == "inf" else e.get("order"),
+            dim=e.get("dim"),
         ) for e in entries)
         pairs = frozenset((str(a), str(b)) for a, b in closure)
-        return cls(_diagram_int(data.get("ambient_dim"), "ambient_dim"), strata, pairs)
+        return cls(data.get("ambient_dim"), strata, pairs)
 
     def to_dot(self) -> str:
         lines = ["digraph stratification {"]
@@ -117,12 +125,11 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _diagram_int(value, name: str) -> int:
-    """`value` if it is exactly an int: the wire format's bools, floats and
-    strings are refused with MalformedDiagram, never converted."""
+def _diagram_int(value, name: str) -> None:
+    """Refuse `value` with MalformedDiagram unless it is exactly an int:
+    bools, floats and strings are never converted."""
     if type(value) is not int:
         raise MalformedDiagram(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _dot_string(text: str) -> str:

@@ -1,7 +1,9 @@
 """README.md runs: each CLI example whose output it prints, and the library
 sketch.  Commands and expected outputs are read from README.md itself, so
-the README cannot drift from the program."""
+the README cannot drift from the program.  Every name the package exports
+is used inside the package or named in README.md."""
 
+import ast
 import io
 import re
 import shlex
@@ -9,6 +11,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import circleact
 from circleact.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -67,3 +70,24 @@ def test_readme_cli_examples_print_what_the_readme_shows():
 
 def test_readme_library_sketch_runs():
     exec(section_block("## Library sketch", "python"), {})
+
+
+def test_every_exported_name_has_a_caller():
+    # A name only the tests use is a test oracle, not library API.
+    package = Path(circleact.__file__).parent
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unused = sorted(n for n in exported - used if not re.search(rf"\b{n}\b", README))
+    assert not unused, f"exported, but neither used in circleact nor named in README.md: {unused}"

@@ -65,26 +65,26 @@ def dimensions(diagram):
     return diagram.ambient_dim, diagram.ambient_dim - 2 * m, m
 
 
-def test_infer_dimensions_weights_1_2_3():
+def test_dimensions_of_weights_1_2_3():
     assert dimensions(diagram_of((1, 2, 3))) == (6, 0, 3)
 
 
-def test_infer_dimensions_weights_2_2_3_4_6():
+def test_dimensions_of_weights_2_2_3_4_6():
     assert dimensions(diagram_of((2, 2, 3, 4, 6))) == (10, 0, 5)
 
 
-def test_infer_dimensions_with_trivial_factor():
+def test_dimensions_with_trivial_factor():
     assert dimensions(diagram_of((1,), trivial_dim=2)) == (4, 2, 1)
 
 
-def test_infer_dimensions_requires_distinguished_stratum():
+def test_recovery_requires_distinguished_stratum():
     with pytest.raises(NoDistinguishedStratum):
         recover_weights(
             abstract(2, [("order:1", 1, 1)], [])
         )
 
 
-def test_infer_dimensions_rejects_two_infinite_strata():
+def test_recovery_rejects_two_infinite_strata():
     with pytest.raises(NoDistinguishedStratum):
         recover_weights(
             abstract(
@@ -95,7 +95,7 @@ def test_infer_dimensions_rejects_two_infinite_strata():
         )
 
 
-def test_infer_dimensions_rejects_odd_difference():
+def test_recovery_rejects_odd_difference():
     with pytest.raises(ParityError):
         recover_weights(
             abstract(
@@ -106,7 +106,7 @@ def test_infer_dimensions_rejects_odd_difference():
         )
 
 
-def test_infer_dimensions_requires_unique_top():
+def test_recovery_requires_unique_top():
     with pytest.raises(MalformedDiagram):
         recover_weights(
             abstract(
@@ -375,13 +375,12 @@ def test_negative_distinguished_dim_rejected():
 
 
 def test_library_built_fractional_order_is_a_malformed_diagram():
-    diagram = StratificationDiagram(
-        4,
-        (Stratum("t", 1, 3), Stratum("a", 2.5, 1), Stratum("z", INFINITE, 0)),
-        frozenset({("a", "t"), ("z", "t"), ("z", "a")}),
-    )
-    with pytest.raises(MalformedDiagram, match="positive integer orders"):
-        recover_weights(diagram)
+    with pytest.raises(MalformedDiagram, match="order must be an integer, got 2.5$"):
+        StratificationDiagram(
+            4,
+            (Stratum("t", 1, 3), Stratum("a", 2.5, 1), Stratum("z", INFINITE, 0)),
+            frozenset({("a", "t"), ("z", "t"), ("z", "a")}),
+        )
 
 
 @pytest.mark.parametrize(
@@ -391,21 +390,23 @@ def test_library_built_fractional_order_is_a_malformed_diagram():
         (3, 1, "2", 1, "dim must be an integer, got '2'"),
         (3, 1, 2, True, "dim must be an integer, got True"),
         (3.0, 1, 2, 1, "ambient_dim must be an integer, got 3.0"),
-        (3, True, 2, 1, "finite strata must carry positive integer orders"),
+        (3, True, 2, 1, "order must be an integer, got True"),
+        (3, float("inf"), 2, 1, "order must be an integer, got inf"),
     ],
-    ids=["float-dim", "str-dim", "bool-dim", "float-ambient-dim", "bool-order"],
+    ids=["float-dim", "str-dim", "bool-dim", "float-ambient-dim", "bool-order", "float-inf-order"],
 )
 def test_library_built_diagram_obeys_the_wire_int_rule(
     ambient_dim, order, dim, trivial_dim, message
 ):
-    # the diagram of weights (1,) on R x C, one number off the exact-int rule
-    diagram = StratificationDiagram(
-        ambient_dim,
-        (Stratum("a", order, dim), Stratum("z", INFINITE, trivial_dim)),
-        frozenset({("z", "a")}),
-    )
+    # the diagram of weights (1,) on R x C, one number off the exact-int
+    # rule, is refused when it is built; only the INFINITE object itself
+    # marks an infinite order
     with pytest.raises(MalformedDiagram, match=re.escape(message) + "$"):
-        recover_weights(diagram)
+        StratificationDiagram(
+            ambient_dim,
+            (Stratum("a", order, dim), Stratum("z", INFINITE, trivial_dim)),
+            frozenset({("z", "a")}),
+        )
 
 
 # ---------------------------------------------------------------------------

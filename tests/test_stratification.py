@@ -347,12 +347,17 @@ _WIRE_1 = {
 
 @pytest.mark.parametrize(
     "where, key, value",
-    [(None, "ambient_dim", True), (0, "order", "1"), (0, "dim", 2.0)],
-    ids=["bool-ambient-dim", "string-order", "float-dim"],
+    [
+        (None, "ambient_dim", True),
+        (0, "order", "1"),
+        (0, "dim", 2.0),
+        (0, "order", json.loads("Infinity")),
+    ],
+    ids=["bool-ambient-dim", "string-order", "float-dim", "json-infinity-order"],
 )
 def test_diagram_reader_refuses_non_integers(where, key, value):
     # JSON true is not the order 1: bools, floats and strings are refused,
-    # never converted.
+    # never converted.  A bare JSON Infinity is not the wire's "inf".
     data = json.loads(json.dumps(_WIRE_1))
     (data if where is None else data["strata"][where])[key] = value
     with pytest.raises(MalformedDiagram, match=f"{key} must be an integer, got {value!r}"):
@@ -432,18 +437,18 @@ def scan_hasse_edges(diagram):
     }
 
 
-INDEX_IDS = ["p", "q", "r", "s", "t", DISTINGUISHED_ID]
+SCAN_IDS = ["p", "q", "r", "s", "t", DISTINGUISHED_ID]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 5),
-    st.sets(st.tuples(st.sampled_from(INDEX_IDS), st.sampled_from(INDEX_IDS)), max_size=20),
+    st.sets(st.tuples(st.sampled_from(SCAN_IDS), st.sampled_from(SCAN_IDS)), max_size=20),
 )
-def test_closure_index_agrees_with_closure_scans(finite_count, pairs):
+def test_top_rule_and_hasse_edges_agree_with_closure_scans(finite_count, pairs):
     # random closures: non-transitive, with self-pairs and pairs on either
     # side of the distinguished stratum
-    ids = INDEX_IDS[:finite_count] + [DISTINGUISHED_ID]
+    ids = SCAN_IDS[:finite_count] + [DISTINGUISHED_ID]
     closure = frozenset((a, b) for a, b in pairs if a in ids and b in ids)
     strata = tuple(Stratum(i, k + 1, 2 * k + 1) for k, i in enumerate(ids[:-1]))
     diagram = StratificationDiagram(9, strata + (Stratum(DISTINGUISHED_ID, INFINITE, 0),), closure)
@@ -456,7 +461,7 @@ def test_closure_index_agrees_with_closure_scans(finite_count, pairs):
     assert hasse_edges(diagram) == scan_hasse_edges(diagram)
 
 
-def test_closure_index_cannot_be_changed_through_its_answers():
+def test_hasse_edges_of_weights_1_2():
     diagram = orbit_strata(ActionSpec(0, (1, 2)))
     assert hasse_edges(diagram) == {("order:2", "order:1")}
 
