@@ -10,7 +10,6 @@ from .errors import (
     MalformedDiagram,
     NegativeMultiplicity,
     NoDistinguishedStratum,
-    NotCoprime,
     NotEffective,
     ParityError,
     TooManyCandidates,

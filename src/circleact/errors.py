@@ -9,10 +9,6 @@ class NotEffective(CircleActionError):
     """Weights have a common divisor greater than 1."""
 
 
-class NotCoprime(CircleActionError):
-    """A pair of weights that must be coprime is not."""
-
-
 class LengthMismatch(CircleActionError):
     """An exponent vector or point has the wrong number of coordinates."""
 

@@ -16,7 +16,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from .action import ActionSpec
-from .errors import LengthMismatch, NotCoprime
+from .errors import LengthMismatch
 from .invariants import (
     PART_IM,
     InvariantGenerator,
@@ -107,11 +107,10 @@ def check_m2_membership(
     tol (the equation relative to 1 + the monomial's magnitude).  A point
     with a non-finite coordinate is not in the image; where either side of
     the equation leaves the float range, the same test is decided on logarithms.
+    The pair is checked as an ActionSpec: a non-integer or non-positive
+    weight raises ValueError, and a common divisor raises NotEffective.
     """
-    if alpha1 < 1 or alpha2 < 1:
-        raise ValueError("weights must be positive")
-    if math.gcd(alpha1, alpha2) != 1:
-        raise NotCoprime(f"gcd({alpha1}, {alpha2}) != 1")
+    alpha1, alpha2 = ActionSpec(0, (alpha1, alpha2)).weights
     if len(y) != 4:
         raise ValueError(f"expected 4 image coordinates, got {len(y)}")
     y1, y2, y3, y4 = (float(v) for v in y)

@@ -19,11 +19,8 @@ from .errors import (
     NoDistinguishedStratum,
     ParityError,
     TooManyWeights,
-    UncertifiedDiagram,
 )
-from .stratification import (
-    INFINITE, StratificationDiagram, _difference, _labels, _spec_labels, orbit_strata
-)
+from .stratification import INFINITE, StratificationDiagram, _certify, orbit_strata
 
 MAX_RECOVERED_WEIGHTS = 10**6  # no list of weights is built past this m
 
@@ -35,16 +32,15 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
     must equal the diagram's ambient_dim, the trivial dimension t is the
     infinite-order stratum's, and m = (n - t) / 2.  For each finite stratum
     S of codimension c (relative to the top stratum), the simplex face it
-    realizes has m - c/2 vertices.  The
-    vertices not claimed by strictly smaller strata belong to S itself,
-    each contributing one copy of S's isotropy order.  In a diagram of an
-    action every stratum strictly below S has a proper multiple of S's
-    order, so one pass by decreasing order counts them before S.  The
-    recovered action's strata are then computed on orders, their gcd
-    closure kept inside the input's orders, and compared with the input by
-    diagram_difference's helper; a gcd outside those orders or any
-    difference raises UncertifiedDiagram: a diagram is accepted exactly
-    when some effective linear circle action produces it.
+    realizes has m - c/2 vertices.  The vertices not claimed by strictly
+    smaller strata belong to S itself, each contributing one copy of S's
+    isotropy order.  In a diagram of an action every stratum strictly below
+    S has a proper multiple of S's order, so one pass by decreasing order
+    counts them before S.  The recovered action's strata are then computed
+    on orders, their gcd closure kept inside the input's orders, and
+    compared with the input; a gcd outside those orders or any difference
+    raises UncertifiedDiagram (stratification._certify): a diagram is
+    accepted exactly when some effective linear circle action produces it.
     """
     finite, infinite = [], []
     for s in diagram.strata:
@@ -104,11 +100,7 @@ def recover_weights(diagram: StratificationDiagram) -> tuple[int, ...]:
         weights += [s.order] * own[s.id]
     # ActionSpec raises NotEffective when the weights share a divisor.
     spec = ActionSpec(trivial_dim, tuple(weights))
-    difference = _difference(_labels(diagram), _spec_labels(spec, {s.order for s in finite}))
-    if difference is not None:
-        raise UncertifiedDiagram(
-            f"this diagram (first) differs from its recovered action's (second): {difference}"
-        )
+    _certify(diagram, spec, {s.order for s in finite})
     return spec.weights
 
 

@@ -19,7 +19,16 @@ from .action import ActionSpec
 from .errors import MalformedDiagram, TooManyFaces, UncertifiedDiagram
 
 DISTINGUISHED_ID = "distinguished"
-INFINITE = math.inf
+
+
+class _Infinite(float):
+    """The type of INFINITE: a float inf that pickle and copy hand back as INFINITE itself."""
+
+    def __reduce__(self):
+        return "INFINITE"
+
+
+INFINITE = _Infinite("inf")
 MAX_FACE_TABLE_M = 16  # 65,535 rows; each further coordinate doubles the table
 
 
@@ -220,11 +229,18 @@ def _labels(d: StratificationDiagram) -> tuple[int, list, set]:
     return d.ambient_dim, strata, {(order[x], order[y]) for x, y in d.closure}
 
 
-def _spec_labels(spec: ActionSpec, within: set | None = None) -> tuple[int, list, set]:
-    """_labels(orbit_strata(spec)), without building the diagram; `within` as in _strata."""
+def _certify(diagram: StratificationDiagram, spec: ActionSpec, within: set | None = None) -> None:
+    """Refuse `diagram` unless it is orbit_strata(spec)'s, which is not built.  Both refusals
+    of the certificate raise UncertifiedDiagram here: a gcd outside `within` (as in _strata),
+    and the first difference that diagram_difference would name."""
     dims, pairs = _strata(spec, within)
     closure = {*zip(repeat(INFINITE), dims), *pairs}
-    return spec.n, [*dims.items(), (INFINITE, spec.trivial_dim)], closure
+    labels = spec.n, [*dims.items(), (INFINITE, spec.trivial_dim)], closure
+    difference = _difference(_labels(diagram), labels)
+    if difference is not None:
+        raise UncertifiedDiagram(
+            f"this diagram (first) differs from its recovered action's (second): {difference}"
+        )
 
 
 def hasse_edges(diagram: StratificationDiagram) -> set[tuple[str, str]]:

@@ -1,6 +1,8 @@
-"""Oracles for the Hilbert-basis tests: the rotation weight of a monomial,
-the |z_j|^2 exponent vectors, conjugation, and an exhaustive decomposition
-of an invariant exponent vector over a basis.
+"""Oracles for the Hilbert-basis and acceptance tests: the rotation weight
+of a monomial, the |z_j|^2 exponent vectors, conjugation, componentwise
+domination, an exhaustive decomposition of an invariant exponent vector
+over a basis, and enumerations of effective weight multisets and of the
+invariant exponent vectors up to a degree.
 
 They check the library's answers and are not part of it.  The name does not
 match ``test_*.py``, so pytest collects nothing here; the test modules in
@@ -9,8 +11,10 @@ this directory import it as ``oracles``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from operator import ge, sub
 
 from circleact import ActionSpec, ExponentVector, LengthMismatch
@@ -53,6 +57,11 @@ def circle_weight(spec: ActionSpec, e: ExponentVector) -> int:
 def is_invariant_exponent(spec: ActionSpec, e: ExponentVector) -> bool:
     """True iff the monomial with these exponents is circle-invariant."""
     return circle_weight(spec, e) == 0
+
+
+def dominates(e: ExponentVector, f: ExponentVector) -> bool:
+    """Componentwise >= on the exponents of e and f."""
+    return all(map(ge, key(e), key(f)))
 
 
 @lru_cache(maxsize=8)
@@ -113,3 +122,35 @@ def decompose(
         else:
             dead.add((remaining, start))
     return None
+
+
+def effective_multisets(max_m: int, max_weight: int):
+    """Every sorted weight tuple of length <= max_m, entries <= max_weight, gcd 1."""
+    for m in range(1, max_m + 1):
+        for combo in combinations_with_replacement(range(1, max_weight + 1), m):
+            if math.gcd(*combo) == 1:
+                yield combo
+
+
+def bounded_tuples(width: int, total: int):
+    """Every tuple of `width` non-negative ints with sum <= total."""
+    if width == 0:
+        yield ()
+        return
+    for head in range(total + 1):
+        for rest in bounded_tuples(width - 1, total - head):
+            yield (head,) + rest
+
+
+def invariant_vectors_up_to(weights: tuple[int, ...], max_degree: int) -> list[ExponentVector]:
+    """Every invariant exponent vector of total degree <= max_degree."""
+    buckets = {}
+    for k in bounded_tuples(len(weights), max_degree):
+        buckets.setdefault(sum(a * x for a, x in zip(weights, k)), []).append(k)
+    found = []
+    for ks in buckets.values():
+        for k in ks:
+            for kbar in ks:
+                if any(k + kbar) and sum(k) + sum(kbar) <= max_degree:
+                    found.append(ExponentVector(k, kbar))
+    return found

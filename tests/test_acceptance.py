@@ -7,7 +7,6 @@ import cmath
 import json
 import math
 import time
-from itertools import combinations_with_replacement
 from random import Random
 
 from circleact import (
@@ -28,7 +27,15 @@ from circleact import (
     roundtrip,
 )
 from circleact.cli import main as cli_main
-from oracles import abs2_exponent, conjugate, decompose, is_invariant_exponent
+from oracles import (
+    abs2_exponent,
+    conjugate,
+    decompose,
+    dominates,
+    effective_multisets,
+    invariant_vectors_up_to,
+    is_invariant_exponent,
+)
 
 
 def report(number, ok, text):
@@ -39,43 +46,6 @@ def report(number, ok, text):
 def unit_polydisc_point(rng, m):
     return tuple(
         rng.random() * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(m)
-    )
-
-
-def effective_multisets(max_m, max_weight):
-    for m in range(1, max_m + 1):
-        for combo in combinations_with_replacement(range(1, max_weight + 1), m):
-            if math.gcd(*combo) == 1:
-                yield combo
-
-
-def bounded_tuples(width, total):
-    if width == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for rest in bounded_tuples(width - 1, total - head):
-            yield (head,) + rest
-
-
-def invariant_vectors_up_to(weights, max_degree):
-    buckets = {}
-    for k in bounded_tuples(len(weights), max_degree):
-        buckets.setdefault(sum(a * x for a, x in zip(weights, k)), []).append(k)
-    out = []
-    for _, ks in buckets.items():
-        for k in ks:
-            for kbar in ks:
-                if any(k + kbar) and sum(k) + sum(kbar) <= max_degree:
-                    out.append(ExponentVector(k, kbar))
-    return out
-
-
-def dominates(e, f):
-    """Componentwise >= on the exponents of e and f."""
-    return all(
-        a >= b
-        for a, b in zip(e.holomorphic + e.antiholomorphic, f.holomorphic + f.antiholomorphic)
     )
 
 

@@ -91,18 +91,18 @@ def _face_order(spec, face):
         ((2, 2, 3, 4, 6), {4}, 4),
     ],
 )
-def test_gcd_label(weights, face, expected):
+def test_face_order(weights, face, expected):
     assert _face_order(ActionSpec(0, weights), face) == expected
 
 
-def test_gcd_label_full_face_is_one():
+def test_face_order_of_the_full_face_is_one():
     for weights in [(1,), (1, 2), (2, 3), (2, 2, 3, 4, 6)]:
         spec = ActionSpec(0, weights)
         assert _face_order(spec, range(1, spec.m + 1)) == 1
 
 
 @given(st.data())
-def test_gcd_label_monotone_under_inclusion(data):
+def test_face_order_of_a_face_divides_that_of_a_subface(data):
     weights = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))
     shared = math.gcd(*weights)
     spec = ActionSpec(0, tuple(w // shared for w in weights))

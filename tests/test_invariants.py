@@ -33,6 +33,8 @@ from oracles import (
     circle_weight,
     conjugate,
     decompose,
+    dominates,
+    invariant_vectors_up_to,
     is_invariant_exponent,
     key,
 )
@@ -73,44 +75,6 @@ def box_basis_oracle(weights):
         if not any(summands):
             minimal.add(ExponentVector(vec[:m], vec[m:]))
     return frozenset(minimal)
-
-
-def dominates(e, f):
-    """Componentwise >= on the exponents of e and f."""
-    return all(
-        a >= b
-        for a, b in zip(e.holomorphic + e.antiholomorphic, f.holomorphic + f.antiholomorphic)
-    )
-
-
-def bounded_tuples(width, total):
-    if width == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for rest in bounded_tuples(width - 1, total - head):
-            yield (head,) + rest
-
-
-def invariant_vectors_up_to(weights, max_degree):
-    """Every invariant exponent vector of total degree <= max_degree."""
-    buckets = {}
-    for k in bounded_tuples(len(weights), max_degree):
-        buckets.setdefault(sum(a * x for a, x in zip(weights, k)), []).append(k)
-    found = []
-    for dot, ks in buckets.items():
-        for k in ks:
-            for kbar in ks:
-                if any(k + kbar) and sum(k) + sum(kbar) <= max_degree:
-                    found.append(ExponentVector(k, kbar))
-    return found
-
-
-def effective_weight_multisets(max_m, max_weight):
-    for m in range(1, max_m + 1):
-        for combo in product(range(1, max_weight + 1), repeat=m):
-            if tuple(sorted(combo)) == combo and math.gcd(*combo) == 1:
-                yield combo
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from circleact import (
     ExponentVector,
     InvariantGenerator,
     LengthMismatch,
-    NotCoprime,
+    NotEffective,
     check_homogeneity,
     check_invariance,
     check_m2_membership,
@@ -260,9 +260,20 @@ def test_m2_membership_rejects_negative_first_coordinates():
     assert not check_m2_membership(1, 2, (1.0, -0.5, 0.0, 0.0), 1e-9)
 
 
-def test_m2_membership_requires_coprime_weights():
-    with pytest.raises(NotCoprime):
-        check_m2_membership(2, 4, (1.0, 1.0, 1.0, 0.0))
+@pytest.mark.parametrize(
+    "alpha1,alpha2,error,message",
+    [
+        (2, 4, NotEffective, "weights [2, 4] have gcd 2 > 1"),
+        (0, 1, ValueError, "weights must be positive integers, got (0, 1)"),
+        (1.5, 2, ValueError, "weights must be integers, got (1.5, 2)"),
+        ("1", 2, ValueError, "weights must be integers, got ('1', 2)"),
+    ],
+    ids=["common-divisor", "zero", "float", "string"],
+)
+def test_m2_membership_checks_its_weights_as_an_action_spec(alpha1, alpha2, error, message):
+    with pytest.raises(error) as raised:
+        check_m2_membership(alpha1, alpha2, (1.0, 1.0, 1.0, 0.0))
+    assert str(raised.value) == message
 
 
 def test_m2_membership_on_actual_images():

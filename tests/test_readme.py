@@ -1,7 +1,8 @@
 """README.md runs: each CLI example whose output it prints, and the library
 sketch.  Commands and expected outputs are read from README.md itself, so
 the README cannot drift from the program.  Every name the package exports
-is used inside the package or named in README.md."""
+is used inside the package or named in README.md, and every error class is
+raised by some module of the package."""
 
 import ast
 import io
@@ -55,7 +56,7 @@ def run_pipeline(command: str) -> str:
 
 def test_readme_cli_examples_print_what_the_readme_shows():
     examples = printed_examples()
-    commands = {" ".join(command.split()) for command, _ in examples}
+    commands = {" ".join(shlex.split(command, comments=True)) for command, _ in examples}
     assert commands >= {
         "circleact invariants --weights 1,2",
         "circleact invariants --weights=-3,5",
@@ -63,6 +64,7 @@ def test_readme_cli_examples_print_what_the_readme_shows():
         " | circleact recover --diagram - --format json",
         "circleact roundtrip --weights 7,11,13",
         "circleact roundtrip --trials 1000 --seed 7",
+        "circleact verify --weights 1,2 --trials 1000 --seed 3",
     }
     for command, lines in examples:
         assert run_pipeline(command).splitlines() == lines, command
@@ -91,3 +93,20 @@ def test_every_exported_name_has_a_caller():
                     used.add(node.attr)
     unused = sorted(n for n in exported - used if not re.search(rf"\b{n}\b", README))
     assert not unused, f"exported, but neither used in circleact nor named in README.md: {unused}"
+
+
+def test_every_error_class_is_raised():
+    # An error class that no module raises is a name with nothing behind it.
+    package = Path(circleact.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in package.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(call, ast.Name):
+                        raised.add(call.id)
+    unraised = sorted(classes - raised - {"CircleActionError"})
+    assert not unraised, f"defined in errors.py, but raised by no circleact module: {unraised}"

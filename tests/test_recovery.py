@@ -35,7 +35,7 @@ from circleact import (
     roundtrip,
 )
 from circleact.cli import main
-from circleact.stratification import _difference, _labels, _spec_labels
+from circleact.stratification import _certify
 
 
 def diagram_of(weights, trivial_dim=0):
@@ -619,14 +619,19 @@ certificate_specs = st.builds(
     st.integers(0, 10**6),
 )
 def test_certificate_differs_exactly_as_diagram_difference_does(spec, kind, pick):
-    """recover_weights compares a diagram with its recovered action's strata
+    """The certificate compares a diagram with its recovered action's strata
     without building that action's diagram; the old composition is the oracle."""
     diagram = perturbed(orbit_strata(spec), kind, pick)
     bumped = [*spec.weights[:-1], spec.weights[-1] + 1]
     neighbour = canonicalize([w // math.gcd(*bumped) for w in bumped], spec.trivial_dim)
     for other in (spec, neighbour):
         expected = diagram_difference(diagram, orbit_strata(other))
-        assert _difference(_labels(diagram), _spec_labels(other)) == expected
+        if expected is None:
+            _certify(diagram, other)
+        else:
+            with pytest.raises(UncertifiedDiagram) as raised:
+                _certify(diagram, other)
+            assert str(raised.value).endswith(f"(second): {expected}")
         if other is spec:
             assert (expected is None) == (kind in (None, "relabel"))
 
@@ -654,13 +659,13 @@ def recover_with_pairwise_gcd_check(diagram):
     checked the input's orders: every pair of orders' gcd is looked up
     first, then the recovered action's unbounded closure is compared."""
 
-    def certificate(spec, within):
+    def certificate(diagram, spec, within):
         for a, b in combinations(sorted(within), 2):
             if math.gcd(a, b) not in within:
                 raise UncertifiedDiagram(f"no stratum has order {math.gcd(a, b)}")
-        return _spec_labels(spec)
+        _certify(diagram, spec)
 
-    with mock.patch("circleact.recovery._spec_labels", certificate):
+    with mock.patch("circleact.recovery._certify", certificate):
         return recover_weights(diagram)
 
 

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import time
 from dataclasses import FrozenInstanceError
 from itertools import combinations
@@ -362,6 +365,21 @@ def test_diagram_reader_refuses_non_integers(where, key, value):
     (data if where is None else data["strata"][where])[key] = value
     with pytest.raises(MalformedDiagram, match=f"{key} must be an integer, got {value!r}"):
         StratificationDiagram.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "revive",
+    [*(lambda d, p=p: pickle.loads(pickle.dumps(d, p)) for p in range(6)), copy.deepcopy],
+    ids=[*(f"pickle-protocol-{p}" for p in range(6)), "deepcopy"],
+)
+def test_a_revived_diagram_rebuilds_from_its_own_strata(revive):
+    # The constructor tells the infinite order by identity with INFINITE,
+    # so a pickled or copied INFINITE must come back as that object.
+    revived = revive(orbit_strata(ActionSpec(0, (1, 2))))
+    rebuilt = StratificationDiagram(revived.ambient_dim, revived.strata, revived.closure)
+    assert rebuilt == dataclasses.replace(revived) == orbit_strata(ActionSpec(0, (1, 2)))
+    assert recover_weights(rebuilt) == (1, 2)
+    assert revive(INFINITE) is INFINITE and repr(revive(INFINITE)) == "inf"
 
 
 def test_dot_export_lists_all_nodes_and_cover_edges():
